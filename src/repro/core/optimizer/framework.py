@@ -52,9 +52,8 @@ class RuleContext:
 class OptimizerOptions:
     """Knobs of the logical optimizer.
 
-    ``optimize=False`` is the ablation switch (the analogue of the physical
-    planner's ``PlannerOptions.use_cost_model=False``): the pipeline then
-    emits exactly the SQL the unoptimized rewriter always produced —
+    ``optimize=False`` is the ablation switch: the pipeline then emits
+    exactly the SQL the unoptimized rewriter always produced —
     full-entity-width SELECT lists and un-normalized predicates.
     """
 

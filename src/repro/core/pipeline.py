@@ -76,9 +76,8 @@ class QueryllPipeline:
     runs between query-tree construction and SQL generation.  The default
     applies the full rule set (predicate normalisation, join-condition
     pushdown, constant folding, range merging, projection pruning);
-    ``OptimizerOptions(optimize=False)`` is the ablation switch — the exact
-    analogue of the physical planner's ``PlannerOptions(use_cost_model=
-    False)`` — reproducing the unoptimized SQL of the bare paper pipeline.
+    ``OptimizerOptions(optimize=False)`` is the ablation switch,
+    reproducing the unoptimized SQL of the bare paper pipeline.
     """
 
     def __init__(

@@ -17,23 +17,22 @@ paper's workload:
 * sort / limit / distinct handling and ungrouped aggregates
   (COUNT/SUM/MIN/MAX/AVG).
 
-Every operator is annotated with its estimated row count and cumulative
-cost; ``EXPLAIN`` (and :meth:`SelectPlan.explain`) print them per node.
-Planner behaviour can be tuned via :class:`PlannerOptions`; the ablation
-benchmarks exercise those switches, and ``use_cost_model=False`` falls back
-to the statistics-free greedy join order of the earlier engine (the
-equivalence property tests compare the two).  One layer up, the *logical*
-query-tree optimizer has the matching ablation switch
-``repro.core.optimizer.OptimizerOptions(optimize=False)``, which restores
-the unoptimized SQL (full-entity-width SELECT lists, un-normalized
-predicates) of the bare rewriting pipeline.
+Planning runs in three steps: *decompose* the statement once (bindings,
+slots, conjunct classes, validated outputs), *order* its joins once, then
+*lower* that order to either the row operators or the columnar batch
+operators.  Both lowerings annotate from the same step estimates, so every
+operator carries the same estimated row count and cumulative cost in
+either mode; ``EXPLAIN`` (and :meth:`SelectPlan.explain`) print them per
+node.  Planner behaviour can be tuned via :class:`PlannerOptions`; the
+ablation benchmarks and the planner equivalence property tests exercise
+those switches.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.catalog import Catalog, TableSchema
@@ -93,28 +92,27 @@ _BATCH_ROW_THRESHOLD = 256
 _EXECUTION_MODES = ("auto", "row", "batch")
 
 
-class _BatchUnsupported(Exception):
-    """Internal: the statement's shape has no batch equivalent (cross
-    joins, index-OR joins); the caller falls back to the row planner."""
-
-
-@dataclass
+@dataclass(frozen=True)
 class PlannerOptions:
-    """Switches controlling which access paths the planner may use."""
+    """Switches controlling which access paths the planner may use.
+    Frozen so the mode validated at construction cannot change later."""
 
     use_indexes: bool = True
     use_index_nested_loop_join: bool = True
     use_hash_join: bool = True
-    #: When False, join order falls back to the statistics-free greedy
-    #: heuristic (first binding with an indexed equality, then the first
-    #: connecting predicate) used before the cost model existed.
-    use_cost_model: bool = True
     #: Vectorized execution: ``auto`` lets a cost/shape heuristic pick
     #: batch or row execution per query, ``batch`` forces batch whenever
-    #: the shape supports it (ablation), ``row`` disables it.
+    #: the join graph supports it (ablation), ``row`` disables it.
     execution_mode: str = "auto"
     #: Row slots per column batch in batch execution.
     batch_size: int = DEFAULT_BATCH_SIZE
+
+    def __post_init__(self) -> None:
+        if self.execution_mode not in _EXECUTION_MODES:
+            raise SqlExecutionError(
+                f"unknown execution_mode {self.execution_mode!r} "
+                f"(expected one of {', '.join(_EXECUTION_MODES)})"
+            )
 
     def cache_key(self) -> tuple:
         """Hashable identity of these options for the plan cache."""
@@ -122,7 +120,6 @@ class PlannerOptions:
             self.use_indexes,
             self.use_index_nested_loop_join,
             self.use_hash_join,
-            self.use_cost_model,
             self.execution_mode,
             self.batch_size,
         )
@@ -170,6 +167,10 @@ class _Binding:
     #: is consulted once per candidate per join round.
     access_estimate: Optional["_AccessEstimate"] = None
 
+    @property
+    def slot_range(self) -> tuple[int, int]:
+        return self.slot_start, self.slot_start + len(self.schema.columns)
+
 
 @dataclass
 class _AccessEstimate:
@@ -197,6 +198,48 @@ class _JoinCandidate:
     build_refs: list[ast.ColumnRef]
 
 
+@dataclass
+class _JoinStep:
+    """One binding brought into the join tree, with the estimated rows and
+    cumulative cost of the tree once it has joined."""
+
+    binding: _Binding
+    #: The equi-join it joins on; None for an index-OR or cross join.
+    candidate: Optional[_JoinCandidate]
+    rows: float
+    cost: float
+    #: Row back-end only: probe the binding's index (IndexNestedLoopJoin).
+    index_join: bool = False
+    #: Index-OR join: the consumed disjunction and its (index name, key
+    #: expression) probes.
+    or_join: Optional[tuple[ast.Expression, list[tuple[str, ast.Expression]]]] = None
+
+
+@dataclass
+class _Query:
+    """A SELECT decomposed once, before join ordering and lowering."""
+
+    statement: ast.SelectStatement
+    bindings: dict[str, _Binding]
+    slot_map: dict[str, int]
+    width: int
+    resolve_slot: Callable[[ast.ColumnRef], int]
+    compiler: ExpressionCompiler
+    #: Two-binding ``column = column`` conjuncts: the equi-join graph.
+    join_conjuncts: list[ast.Expression]
+    #: The pair of binding names each join conjunct connects.
+    join_edges: list[set[str]]
+    #: Conjuncts filtered above the join tree.  Ordering appends the join
+    #: conjuncts that close a cycle and removes one an index-OR join consumes.
+    residual: list[ast.Expression]
+    #: Ungrouped-aggregate specs (see Planner._aggregate_specs), or None.
+    aggregates: Optional[list[tuple[str, str, Optional[ast.Expression]]]]
+    #: Select-list outputs and projection slots (non-aggregate queries).
+    columns: list[tuple[str, Evaluator]]
+    output_slots: Optional[list[int]]
+    column_names: list[str]
+
+
 class Planner:
     """Plans SELECT statements against a catalog and its table data."""
 
@@ -215,85 +258,81 @@ class Planner:
     # -- public API ----------------------------------------------------------
 
     def plan_select(self, statement: ast.SelectStatement) -> SelectPlan:
-        """Build an executable plan for ``statement``."""
-        if self._options.execution_mode not in _EXECUTION_MODES:
-            raise SqlExecutionError(
-                f"unknown execution_mode {self._options.execution_mode!r} "
-                f"(expected one of {', '.join(_EXECUTION_MODES)})"
-            )
+        """Build an executable plan for ``statement``: decompose it, order
+        its joins, then lower the order to row or batch operators."""
+        query = self._decompose(statement)
+        snapshot = {
+            binding.schema.name.lower(): len(binding.data)
+            for binding in query.bindings.values()
+        }
+        batch = self._use_batch(query)
+        start, steps = self._order_joins(query, batch)
+        if batch:
+            root = self._lower_batch(query, start, steps)
+        else:
+            root = self._lower_row(query, start, steps)
+        if query.aggregates is None:
+            root = self._distinct_and_limit(root, query)
+        return SelectPlan(
+            root=root,
+            column_names=query.column_names,
+            stats_snapshot=snapshot,
+            mode="batch" if batch else "row",
+            batch_size=self._options.batch_size if batch else None,
+        )
+
+    # -- decomposition ---------------------------------------------------------
+
+    def _decompose(self, statement: ast.SelectStatement) -> _Query:
+        """Resolve bindings and slots, push single-binding conjuncts onto
+        their bindings, separate equi-joins from residual predicates and
+        validate the select list — so both back-ends raise the same
+        errors."""
         bindings = self._resolve_bindings(statement)
         slot_map, width = self._assign_slots(bindings)
-        compiler = ExpressionCompiler(self._make_resolver(bindings, slot_map))
+        resolve_slot = self._make_resolver(bindings, slot_map)
+        compiler = ExpressionCompiler(resolve_slot)
 
         join_conjuncts: list[ast.Expression] = []
-        residual_conjuncts: list[ast.Expression] = []
+        join_edges: list[set[str]] = []
+        residual: list[ast.Expression] = []
         for conjunct in split_conjuncts(statement.where):
             used = self._bindings_used(conjunct, bindings)
             if len(used) <= 1:
                 if used:
                     bindings[next(iter(used))].conjuncts.append(conjunct)
                 else:
-                    residual_conjuncts.append(conjunct)
+                    residual.append(conjunct)
             elif len(used) == 2 and self._is_equi_join(conjunct, bindings):
                 join_conjuncts.append(conjunct)
+                join_edges.append(used)
             else:
-                residual_conjuncts.append(conjunct)
+                residual.append(conjunct)
 
-        snapshot = {
-            binding.schema.name.lower(): len(binding.data)
-            for binding in bindings.values()
-        }
-
-        batch_plan = self._maybe_plan_batch(
-            statement,
-            bindings,
-            join_conjuncts,
-            residual_conjuncts,
-            compiler,
-            slot_map,
-        )
-        if batch_plan is not None:
-            batch_plan.stats_snapshot = snapshot
-            return batch_plan
-
-        root = self._plan_joins(
-            bindings, join_conjuncts, residual_conjuncts, compiler, width
-        )
-
-        aggregate_plan = self._maybe_plan_aggregate(statement, root, compiler)
-        if aggregate_plan is not None:
-            aggregate_plan.stats_snapshot = snapshot
-            return aggregate_plan
-
-        if statement.order_by:
-            keys = [
-                (compiler.compile(item.expression), item.descending)
-                for item in statement.order_by
-            ]
-            root = self._annotated(
-                Sort(root, keys), root.estimated_rows, _sort_cost(root)
+        aggregates = self._aggregate_specs(statement)
+        columns: list[tuple[str, Evaluator]] = []
+        output_slots: Optional[list[int]] = None
+        if aggregates is None:
+            columns, output_slots = self._output_columns(
+                statement, bindings, compiler, slot_map
             )
-
-        columns, slots = self._output_columns(statement, bindings, compiler, slot_map)
-        root = self._annotated(
-            Project(root, columns, slots), root.estimated_rows, root.estimated_cost
-        )
-        column_names = [name for name, _ in columns]
-
-        if statement.distinct:
-            root = self._annotated(
-                Distinct(root), root.estimated_rows, root.estimated_cost
-            )
-
-        if statement.limit is not None or statement.offset is not None:
-            limit = compiler.compile(statement.limit) if statement.limit else None
-            offset = compiler.compile(statement.offset) if statement.offset else None
-            root = self._annotated(
-                Limit(root, limit, offset), root.estimated_rows, root.estimated_cost
-            )
-
-        return SelectPlan(
-            root=root, column_names=column_names, stats_snapshot=snapshot
+            column_names = [name for name, _ in columns]
+        else:
+            column_names = [name for name, _, _ in aggregates]
+        return _Query(
+            statement=statement,
+            bindings=bindings,
+            slot_map=slot_map,
+            width=width,
+            resolve_slot=resolve_slot,
+            compiler=compiler,
+            join_conjuncts=join_conjuncts,
+            join_edges=join_edges,
+            residual=residual,
+            aggregates=aggregates,
+            columns=columns,
+            output_slots=output_slots,
+            column_names=column_names,
         )
 
     # -- binding resolution ---------------------------------------------------
@@ -537,7 +576,6 @@ class Planner:
         """Plan the access path for a single table, honouring its pushed-down
         conjuncts (index lookup when possible, otherwise scan + filter)."""
         access = self._estimate_access(binding)
-        remaining = list(binding.conjuncts)
         scan: PlanOperator
         if access.index is not None:
             key_evaluators = [
@@ -552,19 +590,44 @@ class Planner:
                 access.index.name,
                 key_evaluators,
             )
-            remaining = [c for c in remaining if c not in access.consumed]
         else:
             scan = SeqScan(binding.data, binding.name, width, binding.slot_start)
-        self._annotated(scan, access.rows_scan, access.cost)
-        rows = access.rows_scan
-        for conjunct in remaining:
+        remaining = [c for c in binding.conjuncts if c not in access.consumed]
+        return self._filter_chain(
+            self._annotated(scan, access.rows_scan, access.cost),
+            binding,
+            access,
+            remaining,
+            Filter,
+            compiler,
+        )
+
+    def _filter_chain(
+        self,
+        scan: PlanOperator,
+        binding: _Binding,
+        access: _AccessEstimate,
+        conjuncts: list[ast.Expression],
+        filter_class: type,
+        compiler: ExpressionCompiler,
+    ) -> PlanOperator:
+        """Stack ``conjuncts`` as ``filter_class`` operators over the
+        annotated ``scan``.  The chain's output carries the binding's
+        access-path estimate — the numbers join ordering used — in both
+        back-ends."""
+        current = scan
+        rows = scan.estimated_rows or 0.0
+        for conjunct in conjuncts:
             rows *= self._selectivity(binding, conjunct)
-            scan = self._annotated(
-                Filter(scan, compiler.compile(conjunct), label=binding.name),
+            current = self._annotated(
+                filter_class(current, compiler.compile(conjunct), label=binding.name),
                 rows,
                 access.cost,
             )
-        return scan
+        # The running product above multiplies in scan order; the batch
+        # scan applies its pushed conjuncts first, so end on the access
+        # estimate itself to keep both back-ends' chains bit-identical.
+        return self._annotated(current, access.rows_out, access.cost)
 
     def _extract_column_equality(
         self, conjunct: ast.Expression, binding: _Binding
@@ -586,108 +649,131 @@ class Planner:
             return column_side.column, value_side
         return None
 
-    # -- joins ----------------------------------------------------------------
+    # -- join ordering ----------------------------------------------------------
 
-    def _plan_joins(
-        self,
-        bindings: dict[str, _Binding],
-        join_conjuncts: list[ast.Expression],
-        residual_conjuncts: list[ast.Expression],
-        compiler: ExpressionCompiler,
-        width: int,
-    ) -> PlanOperator:
+    def _use_batch(self, query: _Query) -> bool:
+        """Whether to lower to the columnar batch operators: the options or
+        the cost/shape heuristic must say batch, and the equi-join graph must
+        be connected (cross joins and index-OR joins exist only as row
+        operators)."""
+        mode = self._options.execution_mode
+        if mode == "row":
+            return False
+        bindings = query.bindings
+        if mode == "auto":
+            # Heuristic: batch execution pays off on scans, not point
+            # lookups — any usable index lookup keeps the query row-mode,
+            # as do small tables (batch setup costs more than it saves).
+            total_rows = 0
+            for binding in bindings.values():
+                access = self._estimate_access(binding)
+                if access.index is not None:
+                    return False
+                total_rows += len(binding.data)
+            if total_rows < _BATCH_ROW_THRESHOLD:
+                return False
+        reached = {next(iter(bindings))}
+        grown = True
+        while grown:
+            grown = False
+            for edge in query.join_edges:
+                if edge & reached and not edge <= reached:
+                    reached |= edge
+                    grown = True
+        return len(reached) == len(bindings)
+
+    def _order_joins(
+        self, query: _Query, batch: bool
+    ) -> tuple[_Binding, list[_JoinStep]]:
+        """Choose the join order: the start binding plus one step per
+        further binding, each with its estimated rows and cumulative cost.
+
+        Starts from the binding with the fewest estimated output rows, then
+        repeatedly joins the connected candidate with the cheapest estimated
+        join (ties broken by FROM-clause order).  When no equi-join connects
+        the remaining bindings, the next one in FROM order comes in through
+        an index-OR join or a cross join (row back-end only: batch plans
+        require a connected equi-join graph).
+        """
+        bindings = query.bindings
         order = list(bindings)
-        cost_mode = self._options.use_cost_model
 
         def start_rank(name: str):
-            access = self._estimate_access(bindings[name])
-            if cost_mode:
-                return (access.rows_out, order.index(name))
-            # Statistics-free heuristic: prefer a binding with an indexed
-            # equality, breaking ties by FROM-clause order.
-            return (0 if access.index is not None else 1, order.index(name))
+            return (self._estimate_access(bindings[name]).rows_out, order.index(name))
 
         start = min(order, key=start_rank)
+        access = self._estimate_access(bindings[start])
+        rows, cost = access.rows_out, access.cost
         joined = {start}
-        current = self._plan_scan(bindings[start], compiler, width)
-        pending = list(join_conjuncts)
+        pending = list(query.join_conjuncts)
+        steps: list[_JoinStep] = []
 
         while len(joined) < len(bindings):
+            left_rows = rows or 1.0
             candidates = self._join_candidates(
-                pending, bindings, joined, residual_conjuncts
+                pending, bindings, joined, query.residual
             )
             if candidates:
-                if cost_mode:
-                    left_rows = current.estimated_rows or 1.0
-                    left_cost = current.estimated_cost or 0.0
+                estimates = {
+                    candidate.build: self._estimate_join(
+                        left_rows, cost,
+                        bindings[candidate.build], candidate.build_refs,
+                    )
+                    for candidate in candidates
+                }
 
-                    def candidate_cost(candidate: _JoinCandidate):
-                        _, cost_index, cost_hash, cost_nested = self._estimate_join(
-                            left_rows, left_cost,
-                            bindings[candidate.build], candidate.build_refs,
-                        )
-                        costs = [
-                            c for c in (cost_index, cost_hash, cost_nested)
-                            if c is not None
-                        ]
-                        return (min(costs), order.index(candidate.build))
+                def candidate_cost(candidate: _JoinCandidate):
+                    costs = [
+                        c for c in estimates[candidate.build][1:] if c is not None
+                    ]
+                    return (min(costs), order.index(candidate.build))
 
-                    best = min(candidates, key=candidate_cost)
-                else:
-                    best = candidates[0]
+                best = min(candidates, key=candidate_cost)
                 for conjunct in best.conjuncts:
                     pending.remove(conjunct)
-                current = self._join_binding(
-                    current,
-                    bindings[best.build],
-                    best.probe_refs,
-                    best.build_refs,
-                    compiler,
-                    width,
+                rows, cost_index, cost_hash, cost_nested = estimates[best.build]
+                index_join, cost = self._join_method(
+                    cost_index, cost_hash, cost_nested, batch
                 )
-                joined.add(best.build)
-                continue
-            # No equi-join predicate connects the remaining tables.  Try a
-            # disjunction of indexed equalities (PostgreSQL-style index OR),
-            # otherwise fall back to a cross join.
-            for name in order:
-                if name in joined:
-                    continue
-                binding = bindings[name]
-                or_join = self._try_index_or_join(
-                    current, binding, bindings, joined,
-                    residual_conjuncts, compiler, width,
+                step = _JoinStep(bindings[best.build], best, rows, cost, index_join)
+            else:
+                assert not batch, "batch plans need a connected join graph"
+                binding = next(
+                    bindings[name] for name in order if name not in joined
+                )
+                or_join = self._index_or_join(
+                    binding, bindings, joined, query.residual
                 )
                 if or_join is not None:
-                    current = or_join
+                    probes = len(or_join[1])
+                    rows = left_rows * probes
+                    cost = cost + left_rows * probes
                 else:
-                    right = self._plan_scan(binding, compiler, width)
-                    rows = (current.estimated_rows or 1.0) * (
-                        right.estimated_rows or 1.0
-                    )
-                    cost = (
-                        (current.estimated_cost or 0.0)
-                        + (right.estimated_cost or 0.0)
-                        + rows
-                    )
-                    slot_range = (
-                        binding.slot_start,
-                        binding.slot_start + len(binding.schema.columns),
-                    )
-                    current = self._annotated(
-                        NestedLoopJoin(current, right, slot_range), rows, cost
-                    )
-                joined.add(name)
-                break
+                    right = self._estimate_access(binding)
+                    rows = left_rows * (right.rows_out or 1.0)
+                    cost = cost + right.cost + rows
+                step = _JoinStep(binding, None, rows, cost, or_join=or_join)
+            steps.append(step)
+            joined.add(step.binding.name)
+        return bindings[start], steps
 
-        for conjunct in residual_conjuncts:
-            rows = (current.estimated_rows or 1.0) * _DEFAULT_SELECTIVITY
-            current = self._annotated(
-                Filter(current, compiler.compile(conjunct), label="residual"),
-                rows,
-                current.estimated_cost,
-            )
-        return current
+    @staticmethod
+    def _join_method(
+        cost_index: Optional[float],
+        cost_hash: Optional[float],
+        cost_nested: float,
+        batch: bool,
+    ) -> tuple[bool, float]:
+        """(index nested-loop join?, cost) of the physical operator a
+        back-end builds for an equi-join step.  Only the row back-end has an
+        index nested-loop join; it wins unless hashing is estimated
+        cheaper.  Otherwise a hash join, costed as a nested loop when hash
+        joins are disabled (the row back-end then builds one)."""
+        if not batch and cost_index is not None and (
+            cost_hash is None or cost_index <= cost_hash
+        ):
+            return True, cost_index
+        return False, cost_hash if cost_hash is not None else cost_nested
 
     def _join_candidates(
         self,
@@ -697,9 +783,8 @@ class Planner:
         residual_conjuncts: list[ast.Expression],
     ) -> list[_JoinCandidate]:
         """Group pending equi-join predicates by the unjoined binding they
-        would bring in (in first-connecting order, which the greedy mode
-        uses verbatim).  Predicates whose sides are both already joined are
-        moved to the residual list."""
+        would bring in (in first-connecting order).  Predicates whose sides
+        are both already joined are moved to the residual list."""
         candidates: dict[str, _JoinCandidate] = {}
         for conjunct in list(pending):
             assert isinstance(conjunct, ast.BinaryOp)
@@ -729,58 +814,38 @@ class Planner:
             candidate.build_refs.append(build_ref)
         return list(candidates.values())
 
-    def _try_index_or_join(
+    def _index_or_join(
         self,
-        left: PlanOperator,
         binding: _Binding,
         bindings: dict[str, _Binding],
         joined: set[str],
         residual_conjuncts: list[ast.Expression],
-        compiler: ExpressionCompiler,
-        width: int,
-    ) -> Optional[PlanOperator]:
+    ) -> Optional[tuple[ast.Expression, list[tuple[str, ast.Expression]]]]:
         """Join ``binding`` through a disjunction of indexed equalities.
 
         Looks for a residual conjunct of the form ``a1 = B.c1 OR a2 = B.c2
         OR ...`` where every ``ai`` only references already-joined bindings
         (or parameters) and every ``B.ci`` has an index.  The conjunct is
-        consumed and replaced by per-disjunct index probes plus a residual
-        re-check.
+        consumed (removed from the residual list) and returned with its
+        per-disjunct index probes; the join re-checks it per match.
         """
         if not (self._options.use_indexes and self._options.use_index_nested_loop_join):
             return None
         if binding.conjuncts:
             return None
-        for conjunct in list(residual_conjuncts):
+        for conjunct in residual_conjuncts:
             disjuncts = _split_disjuncts(conjunct)
             if len(disjuncts) < 2:
                 continue
-            probes: list[tuple[str, Evaluator]] = []
+            probes: list[tuple[str, ast.Expression]] = []
             for disjunct in disjuncts:
-                probe = self._or_probe(disjunct, binding, joined, bindings, compiler)
+                probe = self._or_probe(disjunct, binding, joined, bindings)
                 if probe is None:
-                    probes = []
                     break
                 probes.append(probe)
-            if not probes:
-                continue
-            residual_conjuncts.remove(conjunct)
-            residual = compiler.compile(conjunct)
-            left_rows = left.estimated_rows or 1.0
-            rows = left_rows * len(probes)
-            cost = (left.estimated_cost or 0.0) + left_rows * len(probes)
-            return self._annotated(
-                IndexOrLookupJoin(
-                    left,
-                    binding.data,
-                    binding.name,
-                    binding.slot_start,
-                    probes,
-                    residual,
-                ),
-                rows,
-                cost,
-            )
+            else:
+                residual_conjuncts.remove(conjunct)
+                return conjunct, probes
         return None
 
     def _or_probe(
@@ -789,10 +854,10 @@ class Planner:
         binding: _Binding,
         joined: set[str],
         bindings: dict[str, _Binding],
-        compiler: ExpressionCompiler,
-    ) -> Optional[tuple[str, Evaluator]]:
+    ) -> Optional[tuple[str, ast.Expression]]:
         """If ``disjunct`` is ``<outer expr> = binding.column`` with an index
-        on ``column``, return (index name, key evaluator over the left row)."""
+        on ``column``, return (index name, key expression over the left
+        row)."""
         if not isinstance(disjunct, ast.BinaryOp) or disjunct.op != "=":
             return None
         for column_side, value_side in (
@@ -813,383 +878,255 @@ class Planner:
             index = binding.data.find_equality_index((column_side.column,))
             if index is None:
                 continue
-            return index.name, compiler.compile(value_side)
+            return index.name, value_side
         return None
 
-    def _join_binding(
-        self,
-        left: PlanOperator,
-        build_binding: _Binding,
-        probe_refs: list[ast.ColumnRef],
-        build_refs: list[ast.ColumnRef],
-        compiler: ExpressionCompiler,
-        width: int,
+    # -- lowering ---------------------------------------------------------------
+
+    def _lower_row(
+        self, query: _Query, start: _Binding, steps: list[_JoinStep]
     ) -> PlanOperator:
-        """Join ``left`` with ``build_binding`` on the given key columns,
-        letting the cost estimates choose the physical operator."""
-        probe_evaluators = [compiler.compile(ref) for ref in probe_refs]
-        build_columns = tuple(ref.column for ref in build_refs)
-        left_rows = left.estimated_rows or 1.0
-        left_cost = left.estimated_cost or 0.0
-        join_rows, cost_index_join, cost_hash, cost_nested = self._estimate_join(
-            left_rows, left_cost, build_binding, build_refs
-        )
-        slot_range = (
-            build_binding.slot_start,
-            build_binding.slot_start + len(build_binding.schema.columns),
-        )
-
-        use_index_join = cost_index_join is not None
-        if (
-            use_index_join
-            and self._options.use_cost_model
-            and cost_hash is not None
-            and cost_hash < cost_index_join
-        ):
-            use_index_join = False
-        if use_index_join:
-            index = build_binding.data.find_equality_index(build_columns)
-            assert index is not None
-            # Reorder probe keys to match the index column order.
-            ordered_probe: list[Evaluator] = []
-            for index_column in index.columns:
-                for probe_evaluator, build_ref in zip(probe_evaluators, build_refs):
-                    if build_ref.column.lower() == index_column.lower():
-                        ordered_probe.append(probe_evaluator)
-                        break
-            if len(ordered_probe) == len(index.columns):
-                return self._annotated(
-                    IndexNestedLoopJoin(
-                        left,
-                        build_binding.data,
-                        build_binding.name,
-                        build_binding.slot_start,
-                        index.name,
-                        ordered_probe,
-                    ),
-                    join_rows,
-                    cost_index_join,
-                )
-
-        right = self._plan_scan(build_binding, compiler, width)
-        if self._options.use_hash_join:
-            build_evaluators = [compiler.compile(ref) for ref in build_refs]
-            return self._annotated(
-                HashJoin(
-                    left, right, probe_evaluators, build_evaluators, slot_range
-                ),
-                join_rows,
-                cost_hash if cost_hash is not None else cost_nested,
-            )
-        predicate_ast: ast.Expression | None = None
-        for probe_ref, build_ref in zip(probe_refs, build_refs):
-            equality = ast.BinaryOp("=", probe_ref, build_ref)
-            predicate_ast = (
-                equality
-                if predicate_ast is None
-                else ast.BinaryOp("AND", predicate_ast, equality)
-            )
-        predicate = compiler.compile(predicate_ast) if predicate_ast else None
-        return self._annotated(
-            NestedLoopJoin(left, right, slot_range, predicate),
-            join_rows,
-            cost_nested,
-        )
-
-    # -- batch (vectorized) planning ------------------------------------------
-
-    def _maybe_plan_batch(
-        self,
-        statement: ast.SelectStatement,
-        bindings: dict[str, _Binding],
-        join_conjuncts: list[ast.Expression],
-        residual_conjuncts: list[ast.Expression],
-        compiler: ExpressionCompiler,
-        slot_map: dict[str, int],
-    ) -> Optional[SelectPlan]:
-        """Try to plan ``statement`` with the columnar batch operators.
-
-        Returns None when the options or the cost/shape heuristic say row
-        mode, or when the statement's shape has no batch equivalent — the
-        caller then continues down the row planner, which also re-raises
-        any genuine validation error identically (which is why planning
-        errors are swallowed here rather than propagated).
-        """
-        mode = self._options.execution_mode
-        if mode == "row":
-            return None
-        if mode == "auto":
-            # Heuristic: batch execution pays off on scans, not point
-            # lookups — any usable index lookup keeps the query row-mode,
-            # as do small tables (batch setup costs more than it saves).
-            total_rows = 0
-            for binding in bindings.values():
-                access = self._estimate_access(binding)
-                if access.index is not None:
-                    return None
-                total_rows += len(binding.data)
-            if total_rows < _BATCH_ROW_THRESHOLD:
-                return None
-        try:
-            return self._plan_batch(
-                statement,
-                bindings,
-                list(join_conjuncts),
-                list(residual_conjuncts),
-                compiler,
-                slot_map,
-            )
-        except (_BatchUnsupported, SqlCatalogError, SqlExecutionError):
-            return None
-
-    def _required_slots(
-        self,
-        statement: ast.SelectStatement,
-        bindings: dict[str, _Binding],
-        slot_map: dict[str, int],
-    ) -> dict[str, set[int]]:
-        """Per-binding slot sets the query output and sort keys reference
-        (projection pushdown: the batch scan reads only these columns; the
-        caller adds the slots its predicates and join keys need)."""
-        required: dict[str, set[int]] = {name: set() for name in bindings}
-
-        def add_ref(ref: ast.ColumnRef) -> None:
-            key, name = self._resolve_column(ref, bindings)
-            required[name].add(slot_map[key])
-
-        def add_all(binding: _Binding) -> None:
-            required[binding.name].update(
-                range(
-                    binding.slot_start,
-                    binding.slot_start + len(binding.schema.columns),
-                )
-            )
-
-        for item in statement.items:
-            if item.star:
-                for binding in bindings.values():
-                    add_all(binding)
-            elif item.table_star is not None:
-                name = item.table_star.lower()
-                if name not in bindings:
-                    raise SqlCatalogError(
-                        f"unknown table alias {item.table_star!r}"
-                    )
-                add_all(bindings[name])
-            else:
-                assert item.expression is not None
-                for ref in collect_column_refs(item.expression):
-                    add_ref(ref)
-        for order_item in statement.order_by or ():
-            for ref in collect_column_refs(order_item.expression):
-                add_ref(ref)
-        for binding in bindings.values():
-            for conjunct in binding.conjuncts:
-                for ref in collect_column_refs(conjunct):
-                    add_ref(ref)
-        return required
-
-    def _plan_batch(
-        self,
-        statement: ast.SelectStatement,
-        bindings: dict[str, _Binding],
-        pending: list[ast.Expression],
-        residual: list[ast.Expression],
-        compiler: ExpressionCompiler,
-        slot_map: dict[str, int],
-    ) -> SelectPlan:
-        """Build the batch plan: column scans with projection/selection
-        pushdown, batch hash joins in the cost model's join order, then the
-        batch aggregate/sort/output roots.  Estimates mirror the row
-        planner's (same access/join estimators), so EXPLAIN cardinalities
-        are identical across modes."""
-        options = self._options
-        order = list(bindings)
-        cost_mode = options.use_cost_model
-
-        def resolve_slot(ref: ast.ColumnRef) -> int:
-            key, _ = self._resolve_column(ref, bindings)
-            return slot_map[key]
-
-        required = self._required_slots(statement, bindings, slot_map)
-        for conjunct in pending + residual:
-            for ref in collect_column_refs(conjunct):
-                key, name = self._resolve_column(ref, bindings)
-                required[name].add(slot_map[key])
-
-        def batch_chain(binding: _Binding) -> BatchOperator:
-            """Scan one binding: pushed-down columnwise predicates inside
-            the BatchScan, the non-vectorisable rest as BatchFilters."""
-            access = self._estimate_access(binding)
-            slots = sorted(required[binding.name])
-            positions = [slot - binding.slot_start for slot in slots]
-            pushed: list[tuple[ast.Expression, object]] = []
-            rowwise: list[ast.Expression] = []
-            for conjunct in binding.conjuncts:
-                predicate = compile_columnwise(conjunct, resolve_slot, compiler)
-                if predicate is not None:
-                    pushed.append((conjunct, predicate))
-                else:
-                    rowwise.append(conjunct)
-            rows = float(len(binding.data))
-            # Cost parity with the row planner's scan chain (join ordering
-            # compares these): use the access-path estimate even though a
-            # batch scan always reads the whole column arrays.
-            cost = access.cost
-            scan: BatchOperator = BatchScan(
-                binding.data,
-                binding.name,
-                positions,
-                slots,
-                options.batch_size,
-                [predicate for _, predicate in pushed],
-                self._metrics,
-            )
-            for conjunct, _ in pushed:
-                rows *= self._selectivity(binding, conjunct)
-            current = self._annotated(scan, rows, cost)
-            for conjunct in rowwise:
-                rows *= self._selectivity(binding, conjunct)
-                current = self._annotated(
-                    BatchFilter(
-                        current, compiler.compile(conjunct), label=binding.name
-                    ),
-                    rows,
-                    cost,
-                )
-            # Parity with the row planner: whatever the multiplication
-            # order above produced, the chain's final estimate is the
-            # access path's (bit-identical to row mode's scan chain).
-            current.estimated_rows = access.rows_out
-            return current  # type: ignore[return-value]
-
-        def start_rank(name: str):
-            access = self._estimate_access(bindings[name])
-            if cost_mode:
-                return (access.rows_out, order.index(name))
-            return (0 if access.index is not None else 1, order.index(name))
-
-        start = min(order, key=start_rank)
-        joined = {start}
-        current = batch_chain(bindings[start])
-        current_slots = set(required[start])
-
-        while len(joined) < len(bindings):
-            candidates = self._join_candidates(
-                pending, bindings, joined, residual
-            )
-            if not candidates:
-                # Cross joins and index-OR joins have no batch equivalent.
-                raise _BatchUnsupported
-            if cost_mode:
-                left_rows = current.estimated_rows or 1.0
-                left_cost = current.estimated_cost or 0.0
-
-                def candidate_cost(candidate: _JoinCandidate):
-                    _, cost_index, cost_hash, cost_nested = self._estimate_join(
-                        left_rows, left_cost,
-                        bindings[candidate.build], candidate.build_refs,
-                    )
-                    costs = [
-                        c for c in (cost_index, cost_hash, cost_nested)
-                        if c is not None
-                    ]
-                    return (min(costs), order.index(candidate.build))
-
-                best = min(candidates, key=candidate_cost)
-            else:
-                best = candidates[0]
-            for conjunct in best.conjuncts:
-                pending.remove(conjunct)
-            build_binding = bindings[best.build]
-            join_rows, _, cost_hash, cost_nested = self._estimate_join(
-                current.estimated_rows or 1.0,
-                current.estimated_cost or 0.0,
-                build_binding,
-                best.build_refs,
-            )
-            probe_slots = [resolve_slot(ref) for ref in best.probe_refs]
-            build_slots = [resolve_slot(ref) for ref in best.build_refs]
-            current = self._annotated(
-                BatchHashJoin(
+        """Row operators for the chosen join order, then the residual
+        filters and the aggregate or sort + projection."""
+        compiler, width = query.compiler, query.width
+        current = self._plan_scan(start, compiler, width)
+        for step in steps:
+            binding = step.binding
+            operator: PlanOperator
+            if step.candidate is not None:
+                operator = self._row_join(current, step, compiler, width)
+            elif step.or_join is not None:
+                conjunct, probes = step.or_join
+                operator = IndexOrLookupJoin(
                     current,
-                    batch_chain(build_binding),
-                    probe_slots,
-                    build_slots,
-                    sorted(current_slots),
-                    sorted(required[best.build]),
-                ),
-                join_rows,
-                cost_hash if cost_hash is not None else cost_nested,
-            )  # type: ignore[assignment]
-            current_slots |= required[best.build]
-            joined.add(best.build)
+                    binding.data,
+                    binding.name,
+                    binding.slot_start,
+                    [(index, compiler.compile(key)) for index, key in probes],
+                    compiler.compile(conjunct),
+                )
+            else:
+                right = self._plan_scan(binding, compiler, width)
+                operator = NestedLoopJoin(current, right, binding.slot_range)
+            current = self._annotated(operator, step.rows, step.cost)
+        current = self._residual_filters(current, query, Filter)
 
-        for conjunct in residual:
-            rows = (current.estimated_rows or 1.0) * _DEFAULT_SELECTIVITY
-            current = self._annotated(
-                BatchFilter(current, compiler.compile(conjunct), label="residual"),
-                rows,
-                current.estimated_cost,
-            )  # type: ignore[assignment]
-
-        specs = self._aggregate_specs(statement)
-        if specs is not None:
-            batch_specs: list[
-                tuple[str, str, Optional[int], Optional[Evaluator]]
-            ] = []
-            for name, function, arg in specs:
-                if arg is None:
-                    batch_specs.append((name, function, None, None))
-                elif isinstance(arg, ast.ColumnRef):
-                    batch_specs.append((name, function, resolve_slot(arg), None))
-                else:
-                    batch_specs.append(
-                        (name, function, None, compiler.compile(arg))
-                    )
-            root: PlanOperator = self._annotated(
-                BatchAggregate(current, batch_specs), 1.0, current.estimated_cost
+        statement = query.statement
+        if query.aggregates is not None:
+            columns: list[tuple[str, str, Optional[Evaluator]]] = [
+                (name, function, compiler.compile(arg) if arg is not None else None)
+                for name, function, arg in query.aggregates
+            ]
+            return self._annotated(
+                Aggregate(current, columns), 1.0, current.estimated_cost
             )
-            return SelectPlan(
-                root=root,
-                column_names=[name for name, _, _ in specs],
-                mode="batch",
-                batch_size=options.batch_size,
-            )
-
         if statement.order_by:
-            keys: list[tuple[Optional[int], Optional[Evaluator], bool]] = []
-            for order_item in statement.order_by:
-                if isinstance(order_item.expression, ast.ColumnRef):
-                    keys.append(
-                        (
-                            resolve_slot(order_item.expression),
-                            None,
-                            order_item.descending,
-                        )
-                    )
-                else:
-                    keys.append(
-                        (
-                            None,
-                            compiler.compile(order_item.expression),
-                            order_item.descending,
-                        )
-                    )
+            keys = [
+                (compiler.compile(item.expression), item.descending)
+                for item in statement.order_by
+            ]
             current = self._annotated(
-                BatchSort(current, keys),
-                current.estimated_rows,
-                _sort_cost(current),
-            )  # type: ignore[assignment]
-
-        columns, slots = self._output_columns(statement, bindings, compiler, slot_map)
-        root = self._annotated(
-            BatchOutput(current, columns, slots),
+                Sort(current, keys), current.estimated_rows, _sort_cost(current)
+            )
+        return self._annotated(
+            Project(current, query.columns, query.output_slots),
             current.estimated_rows,
             current.estimated_cost,
         )
-        column_names = [name for name, _ in columns]
 
+    def _row_join(
+        self,
+        left: PlanOperator,
+        step: _JoinStep,
+        compiler: ExpressionCompiler,
+        width: int,
+    ) -> PlanOperator:
+        """The physical row operator for an equi-join step: index
+        nested-loop, hash or nested-loop join."""
+        binding, candidate = step.binding, step.candidate
+        assert candidate is not None
+        probe_evaluators = [compiler.compile(ref) for ref in candidate.probe_refs]
+        if step.index_join:
+            build_columns = [ref.column.lower() for ref in candidate.build_refs]
+            index = binding.data.find_equality_index(tuple(build_columns))
+            assert index is not None
+            # Reorder probe keys to match the index column order.
+            ordered_probe = [
+                probe_evaluators[build_columns.index(column.lower())]
+                for column in index.columns
+            ]
+            return IndexNestedLoopJoin(
+                left,
+                binding.data,
+                binding.name,
+                binding.slot_start,
+                index.name,
+                ordered_probe,
+            )
+        right = self._plan_scan(binding, compiler, width)
+        if self._options.use_hash_join:
+            build_evaluators = [compiler.compile(ref) for ref in candidate.build_refs]
+            return HashJoin(
+                left, right, probe_evaluators, build_evaluators, binding.slot_range
+            )
+        predicate, *rest = candidate.conjuncts
+        for equality in rest:
+            predicate = ast.BinaryOp("AND", predicate, equality)
+        return NestedLoopJoin(
+            left, right, binding.slot_range, compiler.compile(predicate)
+        )
+
+    def _lower_batch(
+        self, query: _Query, start: _Binding, steps: list[_JoinStep]
+    ) -> PlanOperator:
+        """Batch operators for the chosen join order: column scans with
+        projection/selection pushdown and batch hash joins, then the
+        residual filters and the batch aggregate or sort + output."""
+        resolve_slot, compiler = query.resolve_slot, query.compiler
+        required = self._required_slots(query)
+        current: PlanOperator = self._batch_scan(start, query, required)
+        current_slots = set(required[start.name])
+        for step in steps:
+            candidate = step.candidate
+            assert candidate is not None
+            build_slots = required[step.binding.name]
+            current = self._annotated(
+                BatchHashJoin(
+                    current,  # type: ignore[arg-type]
+                    self._batch_scan(step.binding, query, required),
+                    [resolve_slot(ref) for ref in candidate.probe_refs],
+                    [resolve_slot(ref) for ref in candidate.build_refs],
+                    sorted(current_slots),
+                    sorted(build_slots),
+                ),
+                step.rows,
+                step.cost,
+            )
+            current_slots |= build_slots
+        current = self._residual_filters(current, query, BatchFilter)
+
+        statement = query.statement
+        if query.aggregates is not None:
+            specs: list[tuple[str, str, Optional[int], Optional[Evaluator]]] = []
+            for name, function, arg in query.aggregates:
+                if arg is None:
+                    specs.append((name, function, None, None))
+                elif isinstance(arg, ast.ColumnRef):
+                    specs.append((name, function, resolve_slot(arg), None))
+                else:
+                    specs.append((name, function, None, compiler.compile(arg)))
+            return self._annotated(
+                BatchAggregate(current, specs), 1.0, current.estimated_cost
+            )
+        if statement.order_by:
+            keys: list[tuple[Optional[int], Optional[Evaluator], bool]] = []
+            for item in statement.order_by:
+                if isinstance(item.expression, ast.ColumnRef):
+                    keys.append(
+                        (resolve_slot(item.expression), None, item.descending)
+                    )
+                else:
+                    keys.append(
+                        (None, compiler.compile(item.expression), item.descending)
+                    )
+            current = self._annotated(
+                BatchSort(current, keys),  # type: ignore[arg-type]
+                current.estimated_rows,
+                _sort_cost(current),
+            )
+        return self._annotated(
+            BatchOutput(current, query.columns, query.output_slots),
+            current.estimated_rows,
+            current.estimated_cost,
+        )
+
+    def _required_slots(self, query: _Query) -> dict[str, set[int]]:
+        """Per-binding slot sets the batch plan reads (projection pushdown):
+        the columns the outputs, sort keys and predicates reference.  An
+        ungrouped aggregate ignores ORDER BY, as in the row lowering."""
+        bindings = query.bindings
+        required: dict[str, set[int]] = {name: set() for name in bindings}
+
+        def add_refs(expression: ast.Expression) -> None:
+            for ref in collect_column_refs(expression):
+                key, name = self._resolve_column(ref, bindings)
+                required[name].add(query.slot_map[key])
+
+        statement = query.statement
+        for item in statement.items:
+            if item.star:
+                for binding in bindings.values():
+                    required[binding.name].update(range(*binding.slot_range))
+            elif item.table_star is not None:
+                binding = bindings[item.table_star.lower()]
+                required[binding.name].update(range(*binding.slot_range))
+            else:
+                assert item.expression is not None
+                add_refs(item.expression)
+        if query.aggregates is None:
+            for order_item in statement.order_by or ():
+                add_refs(order_item.expression)
+        for binding in bindings.values():
+            for conjunct in binding.conjuncts:
+                add_refs(conjunct)
+        for conjunct in query.join_conjuncts + query.residual:
+            add_refs(conjunct)
+        return required
+
+    def _batch_scan(
+        self, binding: _Binding, query: _Query, required: dict[str, set[int]]
+    ) -> BatchOperator:
+        """Scan one binding's required columns: columnwise-compilable
+        conjuncts filter inside the BatchScan, the rest in BatchFilters."""
+        pushed: list[ast.Expression] = []
+        predicates = []
+        rowwise: list[ast.Expression] = []
+        for conjunct in binding.conjuncts:
+            predicate = compile_columnwise(conjunct, query.resolve_slot, query.compiler)
+            if predicate is None:
+                rowwise.append(conjunct)
+            else:
+                pushed.append(conjunct)
+                predicates.append(predicate)
+        access = self._estimate_access(binding)
+        rows = float(len(binding.data))
+        for conjunct in pushed:
+            rows *= self._selectivity(binding, conjunct)
+        slots = sorted(required[binding.name])
+        scan = BatchScan(
+            binding.data,
+            binding.name,
+            [slot - binding.slot_start for slot in slots],
+            slots,
+            self._options.batch_size,
+            predicates,
+            self._metrics,
+        )
+        return self._filter_chain(  # type: ignore[return-value]
+            self._annotated(scan, rows, access.cost),
+            binding,
+            access,
+            rowwise,
+            BatchFilter,
+            query.compiler,
+        )
+
+    def _residual_filters(
+        self, current: PlanOperator, query: _Query, filter_class: type
+    ) -> PlanOperator:
+        """Filter the join tree by the residual conjuncts, each estimated to
+        keep the default fraction of rows."""
+        for conjunct in query.residual:
+            current = self._annotated(
+                filter_class(current, query.compiler.compile(conjunct), label="residual"),
+                (current.estimated_rows or 1.0) * _DEFAULT_SELECTIVITY,
+                current.estimated_cost,
+            )
+        return current
+
+    def _distinct_and_limit(self, root: PlanOperator, query: _Query) -> PlanOperator:
+        """DISTINCT and LIMIT/OFFSET above either back-end's output."""
+        statement, compiler = query.statement, query.compiler
         if statement.distinct:
             root = self._annotated(
                 Distinct(root), root.estimated_rows, root.estimated_cost
@@ -1200,12 +1137,7 @@ class Planner:
             root = self._annotated(
                 Limit(root, limit, offset), root.estimated_rows, root.estimated_cost
             )
-        return SelectPlan(
-            root=root,
-            column_names=column_names,
-            mode="batch",
-            batch_size=options.batch_size,
-        )
+        return root
 
     # -- output columns -------------------------------------------------------
 
@@ -1254,27 +1186,6 @@ class Planner:
                 )
             specs.append((name, function, arg))
         return specs
-
-    def _maybe_plan_aggregate(
-        self,
-        statement: ast.SelectStatement,
-        root: PlanOperator,
-        compiler: ExpressionCompiler,
-    ) -> Optional[SelectPlan]:
-        """Handle ungrouped aggregates (COUNT/SUM/MIN/MAX/AVG)."""
-        specs = self._aggregate_specs(statement)
-        if specs is None:
-            return None
-        columns: list[tuple[str, str, Optional[Evaluator]]] = [
-            (name, function, compiler.compile(arg) if arg is not None else None)
-            for name, function, arg in specs
-        ]
-        aggregate = self._annotated(
-            Aggregate(root, columns), 1.0, root.estimated_cost
-        )
-        return SelectPlan(
-            root=aggregate, column_names=[name for name, _, _ in columns]
-        )
 
     def _output_columns(
         self,

@@ -5,6 +5,8 @@ surface."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.sqlengine import Database
@@ -92,13 +94,19 @@ class TestModeSelection:
         assert db.explain("SELECT SUM(i_cost) FROM item").startswith("mode=row")
 
     def test_unknown_mode_raises(self, db: Database) -> None:
-        db.set_planner_options(PlannerOptions(execution_mode="warp"))
         with pytest.raises(SqlExecutionError, match="execution_mode"):
-            db.execute("SELECT i_id FROM item")
+            PlannerOptions(execution_mode="warp")
+        # Options are frozen, so a validated mode cannot be swapped later.
+        options = PlannerOptions()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            options.execution_mode = "warp"  # type: ignore[misc]
+        # The database keeps its previous, valid options.
+        assert db.execute("SELECT COUNT(*) FROM grp").rows == [(10,)]
 
     def test_unsupported_shapes_fall_back_to_row(self, db: Database) -> None:
         db.set_planner_options(PlannerOptions(execution_mode="batch"))
-        # Cross join has no batch equivalent: planner falls back.
+        # A cross join leaves the join graph disconnected, and only the row
+        # back-end has cross joins: the planner lowers to row operators.
         plan = db.explain("SELECT COUNT(*) FROM item, grp")
         assert plan.startswith("mode=row")
         result = db.execute("SELECT COUNT(*) FROM item, grp")
@@ -161,6 +169,17 @@ class TestEquivalence:
         both_modes(
             db, "SELECT l.v, r.w FROM l, r WHERE l.k = r.k"
         )
+
+    def test_aggregate_ignores_order_by_in_every_mode(self, db: Database) -> None:
+        # An ungrouped aggregate yields one row, so ORDER BY is ignored —
+        # even one naming an output alias rather than a table column.
+        sql = "SELECT COUNT(*) AS n FROM item ORDER BY n"
+        for mode in ("auto", "batch", "row"):
+            db.set_planner_options(PlannerOptions(execution_mode=mode))
+            assert db.execute(sql).rows == [(ROWS,)]
+        assert db.explain(sql).startswith("mode=row")
+        db.set_planner_options(PlannerOptions(execution_mode="batch"))
+        assert db.explain(sql).startswith("mode=batch")
 
     def test_incomparable_types_raise_in_both_modes(self, db: Database) -> None:
         for mode in ("batch", "row"):

@@ -122,6 +122,54 @@ class TestJoinEquivalence:
             "SELECT COUNT(*), SUM(t.c) FROM t, d WHERE t.b = d.k",
         )
 
+    @given(
+        rows=_rows_strategy,
+        dimension=st.lists(
+            st.tuples(
+                st.integers(min_value=-50, max_value=50),
+                st.integers(min_value=0, max_value=9),
+            ),
+            min_size=0,
+            max_size=20,
+        ),
+        outer=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=9),
+                st.one_of(st.none(), st.integers(min_value=-100, max_value=100)),
+            ),
+            min_size=0,
+            max_size=10,
+            unique_by=lambda row: row[0],
+        ),
+        threshold=st.integers(min_value=-500, max_value=500),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_three_table_join_matches(
+        self,
+        rows: list[tuple],
+        dimension: list[tuple[int, int]],
+        outer: list[tuple],
+        threshold: int,
+    ) -> None:
+        """A connected three-table equi-join chain: both back-ends lower
+        the same join order, so results and estimates agree."""
+        database = _build(rows)
+        database.execute("CREATE TABLE d (k INTEGER, tag INTEGER)")
+        database.insert_rows("d", dimension)
+        database.execute("CREATE TABLE e (g INTEGER, w INTEGER)")
+        database.insert_rows("e", outer)
+        _run_both(
+            database,
+            "SELECT t.a, d.tag, e.w FROM e, t, d "
+            "WHERE t.b = d.k AND d.tag = e.g AND t.c > ?",
+            (threshold,),
+        )
+        _run_both(
+            database,
+            "SELECT COUNT(*), SUM(e.w), MAX(t.a) FROM t, d, e "
+            "WHERE d.tag = e.g AND t.b = d.k AND e.w IS NOT NULL",
+        )
+
 
 class TestConcurrentWriters:
     @given(

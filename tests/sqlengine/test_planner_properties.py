@@ -19,8 +19,6 @@ _ALL_OPTIONS = [
     PlannerOptions(use_index_nested_loop_join=False),
     PlannerOptions(use_hash_join=False),
     PlannerOptions(use_indexes=False, use_index_nested_loop_join=False, use_hash_join=False),
-    PlannerOptions(use_cost_model=False),
-    PlannerOptions(use_cost_model=False, use_index_nested_loop_join=False),
 ]
 
 
@@ -80,39 +78,6 @@ class TestPlannerEquivalence:
         database.set_planner_options(PlannerOptions(use_indexes=False))
         without_index = database.execute(sql, (wanted,)).rows
         assert with_index == without_index
-
-    @given(
-        orders=_orders_strategy,
-        threshold=st.integers(min_value=-100, max_value=100),
-        region=st.integers(min_value=0, max_value=2),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_cost_based_join_order_matches_greedy_planner(
-        self, orders: list[tuple[int, int, int]], threshold: int, region: int
-    ) -> None:
-        """The statistics-driven join order must never change the result
-        set relative to the statistics-free greedy planner."""
-        database = _build_database(orders, customers=8)
-        queries = [
-            (
-                "SELECT orders.id, customer.region FROM orders, customer "
-                "WHERE orders.customer_id = customer.id AND customer.region = ? "
-                "AND orders.amount >= ? ORDER BY orders.id",
-                (region, threshold),
-            ),
-            (
-                "SELECT customer.id, orders.amount FROM customer, orders "
-                "WHERE customer.id = orders.customer_id "
-                "ORDER BY customer.id, orders.amount",
-                (),
-            ),
-        ]
-        for sql, params in queries:
-            database.set_planner_options(PlannerOptions(use_cost_model=True))
-            cost_based = database.execute(sql, params).rows
-            database.set_planner_options(PlannerOptions(use_cost_model=False))
-            greedy = database.execute(sql, params).rows
-            assert cost_based == greedy
 
     @given(orders=_orders_strategy)
     @settings(max_examples=20, deadline=None)
