@@ -5,9 +5,7 @@
 * planner access paths — what the benchmark queries cost when indexes or the
   index-OR join are disabled (the paper's PostgreSQL had all of them);
 * rewriting on/off — the headline claim: executing a query as the plain loop
-  the programmer wrote versus the rewritten SQL;
-* the logical optimizer on/off — latency and row-width of the four TPC-W
-  queries with ``OptimizerOptions(optimize=False)`` vs the full rule set.
+  the programmer wrote versus the rewritten SQL.
 
 Two ways to run it (the same split as ``bench_plan_cache.py``):
 
@@ -37,7 +35,7 @@ from repro.pyfrontend.disassembler import lower_function
 from repro.sqlengine.planner import PlannerOptions
 from repro.tpcw import queries_queryll, queries_sql
 from repro.tpcw.database import build_database
-from repro.tpcw.harness import BenchmarkConfig, TpcwBenchmark
+from repro.tpcw.harness import BenchmarkConfig
 from repro.tpcw.population import PopulationScale
 
 
@@ -101,16 +99,6 @@ def test_get_name_unrewritten_full_scan(benchmark, small_scale) -> None:
     benchmark(lambda: queries_queryll.get_name_loop.original(em, 123).to_list())
 
 
-@pytest.mark.benchmark(group="ablation-optimizer")
-def test_projection_split_report(benchmark) -> None:
-    """The optimizer ablation: narrow vs full-width rows, machine-readable."""
-    harness = TpcwBenchmark(BenchmarkConfig.quick())
-    report = benchmark.pedantic(harness.run_projection_split, rounds=1, iterations=1)
-    for name, entry in report.items():
-        assert entry["optimized"]["columns"] <= entry["unoptimized"]["columns"], name
-        assert entry["optimized"]["rows"] == entry["unoptimized"]["rows"], name
-
-
 # -- standalone JSON entry point ---------------------------------------------
 
 
@@ -159,23 +147,6 @@ def run_experiment(config: BenchmarkConfig, executions: int) -> dict:
         ),
     }
 
-    # 4. The logical optimizer: latency + row width, optimized vs not.
-    harness = TpcwBenchmark(config)
-    projection = harness.run_projection_split()
-    session = harness.database.database.session()
-    parameters = {name: draw for name, draw in TpcwBenchmark.PROJECTION_QUERIES}
-    optimizer: dict[str, dict[str, float]] = {}
-    for name, entry in projection.items():
-        value = getattr(harness._parameters, parameters[name])()
-        timing: dict[str, float] = {}
-        for variant in ("optimized", "unoptimized"):
-            sql = entry[variant]["sql"]
-            params = tuple(value for _ in range(sql.count("?")))
-            timing[f"{variant}_ms"] = _mean_ms(
-                lambda: session.execute(sql, params), executions
-            )
-        optimizer[name] = timing
-
     return {
         "benchmark": "ablations",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -187,7 +158,6 @@ def run_experiment(config: BenchmarkConfig, executions: int) -> dict:
         "simplify": {"redundant_chain_ms": simplify_ms},
         "planner": planner,
         "rewrite": rewrite,
-        "optimizer": {"latency": optimizer, "projection": projection},
     }
 
 

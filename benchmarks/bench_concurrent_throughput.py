@@ -59,28 +59,6 @@ def test_throughput_scaling(tpcw_benchmark, capsys, threads, variant) -> None:
         )
 
 
-def test_rows_width_split(tpcw_benchmark, capsys) -> None:
-    """Bytes-per-row / rows-width split of the queryll variant's queries:
-    the projection-pruning half of the throughput story, machine-readable
-    (the same report lands in ``BENCH_ablations.json`` in CI)."""
-    report = tpcw_benchmark.run_projection_split()
-    for name, entry in report.items():
-        assert entry["optimized"]["columns"] <= entry["unoptimized"]["columns"], name
-        assert entry["optimized"]["bytes_per_row"] <= entry["unoptimized"]["bytes_per_row"], name
-        assert entry["optimized"]["rows"] == entry["unoptimized"]["rows"], name
-    with capsys.disabled():
-        print()
-        for name, entry in report.items():
-            optimized, unoptimized = entry["optimized"], entry["unoptimized"]
-            print(
-                f"{name:16s} width {unoptimized['columns']:3d} -> "
-                f"{optimized['columns']:3d} columns, "
-                f"{unoptimized['bytes_per_row']:8.1f} -> "
-                f"{optimized['bytes_per_row']:8.1f} bytes/row "
-                f"({entry['width_ratio']:.2f}x width)"
-            )
-
-
 def run_experiment(
     thread_counts: list[int], interactions: int, write_fraction: float = 0.2
 ) -> dict:

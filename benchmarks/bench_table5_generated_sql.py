@@ -5,9 +5,8 @@ The benchmark times the whole analysis pipeline (bytecode lowering, loop and
 path analysis, query-tree construction, logical optimization, SQL
 generation) per query, and checks the structural properties the paper
 highlights — in particular that doGetRelated becomes a five-way self-join
-while the hand-written query uses a single OR-join.  It also diffs the
-optimized SQL against the ``OptimizerOptions(optimize=False)`` ablation so
-the projection-pruning effect on every query is visible.
+while the hand-written query uses a single OR-join.  It also prints the
+SQL of the ``OptimizerOptions(optimize=False)`` ablation next to it.
 """
 
 from __future__ import annotations
@@ -34,10 +33,6 @@ def _generate_all(optimize: bool = True) -> dict[str, str]:
     return generated
 
 
-def _select_width(sql: str) -> int:
-    return sql.split(" FROM ")[0].count(" AS ")
-
-
 def test_table5_generated_sql(benchmark) -> None:
     generated = benchmark(_generate_all)
 
@@ -62,19 +57,3 @@ def test_table5_generated_sql(benchmark) -> None:
             print(f"  hand-written: {handwritten[name]}")
             print(f"  generated:    {sql}")
             print(f"  unoptimized:  {unoptimized[name]}")
-            print(
-                "  select width: "
-                f"{_select_width(sql)} optimized vs "
-                f"{_select_width(unoptimized[name])} unoptimized"
-            )
-
-
-def test_optimizer_narrows_every_entity_query(benchmark) -> None:
-    """Projection pruning must never widen a SELECT list, and must strictly
-    narrow the three entity-returning queries."""
-    optimized = _generate_all(optimize=True)
-    unoptimized = benchmark(lambda: _generate_all(optimize=False))
-    for name in optimized:
-        assert _select_width(optimized[name]) <= _select_width(unoptimized[name])
-    for name in ("getCustomer", "doSubjectSearch", "doGetRelated"):
-        assert _select_width(optimized[name]) < _select_width(unoptimized[name])

@@ -14,7 +14,7 @@ The core turns compiled bytecode of query methods into SQL:
 5. :mod:`repro.core.querytree` — interpretation of the symbolic expressions
    against the ORM mapping, producing a relational query tree.
 6. :mod:`repro.core.optimizer` — rule-based logical rewriting of query
-   trees (predicate normalisation, join pushdown, projection pruning).
+   trees (predicate normalisation, join pushdown, constant folding).
 7. :mod:`repro.core.sqlgen` — SQL text generation from query trees.
 8. :mod:`repro.core.rewriter` / :mod:`repro.core.pipeline` — drivers that tie
    the stages together for a whole method or classfile.

@@ -7,8 +7,8 @@ a rewrite framework over :class:`~repro.core.querytree.nodes.QueryTree`
 with a pass cap, per-rule fire counters and a trace mode) plus the default
 rule catalog — conjunct decomposition and classification, selection pushdown
 into join conditions, constant propagation (reusing
-:mod:`repro.core.analysis.simplify`), range merging, duplicate/contradiction
-elimination and end-to-end projection pruning.
+:mod:`repro.core.analysis.simplify`), range merging and
+duplicate/contradiction elimination.
 
 See ``docs/optimizer.md`` for the rule catalog with before/after examples
 and ``OptimizerOptions(optimize=False)`` for the ablation switch.

@@ -53,8 +53,8 @@ class OptimizerOptions:
     """Knobs of the logical optimizer.
 
     ``optimize=False`` is the ablation switch: the pipeline then emits
-    exactly the SQL the unoptimized rewriter always produced —
-    full-entity-width SELECT lists and un-normalized predicates.
+    exactly the SQL the unoptimized rewriter always produced — the same
+    SELECT lists with un-normalized predicates.
     """
 
     #: Master switch: ``False`` skips the optimizer entirely (ablation mode).
@@ -66,10 +66,6 @@ class OptimizerOptions:
     trace: bool = False
     #: Restrict the rule set to these names (``None`` = every default rule).
     rules: Optional[tuple[str, ...]] = None
-    #: Narrow entity-output SELECT lists to the consumed columns.  Entities
-    #: then materialise from partial rows and lazily complete on first
-    #: access to an unloaded field (see ``docs/optimizer.md``).
-    prune_projections: bool = True
 
 
 @dataclass
@@ -197,10 +193,6 @@ def describe_tree(tree: QueryTree) -> str:
         lines.append("order by: " + ", ".join(parts))
     if tree.limit is not None:
         lines.append(f"limit: {tree.limit}")
-    if tree.required_columns is not None:
-        for alias in sorted(tree.required_columns):
-            columns = ", ".join(sorted(tree.required_columns[alias]))
-            lines.append(f"required[{alias}]: {columns}")
     return "\n".join(lines)
 
 

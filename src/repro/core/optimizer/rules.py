@@ -22,9 +22,10 @@ docs and the ``OptimizerOptions.rules`` subset switch):
 * ``eliminate-duplicates`` — drop duplicate conjuncts and duplicate
   (including mirrored) join conditions; a ``FALSE`` conjunct absorbs the
   whole predicate.
-* ``prune-projection`` — compute, per binding, the set of columns consumed
-  by the query's outputs, predicates and ordering, and record it on the
-  tree so SQL generation can narrow entity SELECT lists.
+
+No rule touches a query's outputs: an entity output escapes the query
+function to code the rewriter cannot see, so SQL generation always selects
+all of its columns.
 """
 
 from __future__ import annotations
@@ -36,18 +37,12 @@ from repro.core.analysis.simplify import simplify
 from repro.core.optimizer import bridge
 from repro.core.optimizer.framework import Rule, RuleContext
 from repro.core.querytree.nodes import (
-    ColumnOutput,
-    EntityOutput,
-    Output,
-    PairOutput,
     QueryTree,
     SqlBinary,
     SqlColumn,
     SqlExpr,
     SqlLiteral,
-    TupleOutput,
     clone_tree,
-    sql_expr_columns,
     sql_expr_references,
 )
 
@@ -229,57 +224,6 @@ def eliminate_duplicates(tree: QueryTree, context: RuleContext) -> Optional[Quer
     return result
 
 
-def prune_projection(tree: QueryTree, context: RuleContext) -> Optional[QueryTree]:
-    """Record the per-binding column sets the query actually consumes.
-
-    The SQL generator narrows entity-output SELECT lists to these sets; an
-    entity binding always keeps its primary key (identity map, lazy
-    completion) and its relationship foreign-key columns (navigation).
-    """
-    if not context.options.prune_projections:
-        return None
-    required: dict[str, set[str]] = {binding.alias: set() for binding in tree.bindings}
-
-    def add_expression(expression: SqlExpr) -> None:
-        for column in sql_expr_columns(expression):
-            required.setdefault(column.binding, set()).add(column.column.lower())
-
-    if tree.where is not None:
-        add_expression(tree.where)
-    for condition in tree.join_conditions:
-        add_expression(condition)
-    for expression, _descending in tree.order_by:
-        add_expression(expression)
-
-    def add_output(output: Optional[Output]) -> None:
-        if output is None:
-            return
-        if isinstance(output, ColumnOutput):
-            add_expression(output.expression)
-        elif isinstance(output, EntityOutput):
-            entity_mapping = context.mapping.entity(output.entity_name)
-            columns = required.setdefault(output.binding, set())
-            columns.add(entity_mapping.primary_key.column.lower())
-            for relationship in entity_mapping.relationships:
-                if relationship.kind == "to_one":
-                    columns.add(relationship.local_column.lower())
-        elif isinstance(output, PairOutput):
-            add_output(output.first)
-            add_output(output.second)
-        elif isinstance(output, TupleOutput):
-            for item in output.items:
-                add_output(item)
-
-    add_output(tree.output)
-
-    computed = {alias: frozenset(columns) for alias, columns in required.items()}
-    if tree.required_columns == computed:
-        return None
-    result = clone_tree(tree)
-    result.required_columns = computed
-    return result
-
-
 def default_rules(options) -> list[Rule]:
     """The default rule set, in application order."""
     return [
@@ -307,11 +251,6 @@ def default_rules(options) -> list[Rule]:
             "eliminate-duplicates",
             "drop duplicate/true conjuncts and duplicate join conditions",
             eliminate_duplicates,
-        ),
-        Rule(
-            "prune-projection",
-            "compute per-binding consumed-column sets for narrow SELECT lists",
-            prune_projection,
         ),
     ]
 

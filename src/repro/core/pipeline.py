@@ -75,7 +75,7 @@ class QueryllPipeline:
     ``optimizer_options`` controls the logical query-tree optimizer that
     runs between query-tree construction and SQL generation.  The default
     applies the full rule set (predicate normalisation, join-condition
-    pushdown, constant folding, range merging, projection pruning);
+    pushdown, constant folding, range merging, duplicate elimination);
     ``OptimizerOptions(optimize=False)`` is the ablation switch,
     reproducing the unoptimized SQL of the bare paper pipeline.
     """

@@ -151,9 +151,8 @@ class QueryTreeBuilder:
     ) -> Output:
         """Interpret the value a path adds to the destination collection.
 
-        The resulting :class:`Output` shape drives both SQL generation and
-        projection pruning: entity outputs expand to column lists (narrowed
-        by the optimizer to the consumed columns), column outputs to single
+        The resulting :class:`Output` shape drives SQL generation: entity
+        outputs expand to every mapped column, column outputs to single
         ``AS COLn`` items.
         """
         if add_method == "addAll":

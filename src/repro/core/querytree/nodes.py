@@ -108,15 +108,7 @@ class EntityBinding:
 
 @dataclass
 class QueryTree:
-    """A complete relational query.
-
-    ``required_columns`` is filled in by the logical optimizer's projection
-    pruning (:mod:`repro.core.optimizer`): it maps each binding alias to the
-    set of column names the query actually consumes through its outputs,
-    predicates and ordering.  ``None`` means "not computed" — the SQL
-    generator then expands entity outputs to every mapped column, exactly as
-    the unoptimized pipeline always did.
-    """
+    """A complete relational query."""
 
     bindings: list[EntityBinding] = field(default_factory=list)
     where: Optional[SqlExpr] = None
@@ -126,7 +118,6 @@ class QueryTree:
     limit: Optional[int] = None
     offset: Optional[int] = None
     parameter_sources: list[str] = field(default_factory=list)
-    required_columns: Optional[dict[str, frozenset[str]]] = None
 
     # -- helpers ------------------------------------------------------------------
 
@@ -212,7 +203,4 @@ def clone_tree(tree: QueryTree) -> QueryTree:
         limit=tree.limit,
         offset=tree.offset,
         parameter_sources=list(tree.parameter_sources),
-        required_columns=(
-            dict(tree.required_columns) if tree.required_columns is not None else None
-        ),
     )

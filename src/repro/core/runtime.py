@@ -2,81 +2,24 @@
 
 A rewritten query method no longer iterates the whole database; instead it
 calls :func:`execute_generated_query` with the generated SQL, the values of
-its outer variables and the destination QuerySet.  This module also knows how
-to turn result rows back into entities, Pairs and scalars according to the
-:class:`~repro.core.sqlgen.generator.OutputPlan` produced at rewrite time —
-including rows narrowed by the optimizer's projection pruning, which map to
-partially loaded entities that complete themselves lazily.
+its outer variables and the destination QuerySet.  Result rows turn back
+into entities, Pairs and scalars through the result mapper compiled from the
+:class:`~repro.core.sqlgen.generator.OutputPlan` when the SQL was generated.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.core.sqlgen.generator import (
-    ColumnOutputPlan,
     EntityOutputPlan,
     GeneratedSql,
     OutputPlan,
     PairOutputPlan,
-    TupleOutputPlan,
 )
-from repro.orm.entity_manager import EntityManager, RowMapper, SqlBackedQuery
-from repro.orm.pair import Pair
+from repro.orm.entity_manager import EntityManager, SqlBackedQuery
 from repro.orm.queryset import QuerySet
 from repro.errors import RewriteError
-
-
-def build_row_mapper(plan: OutputPlan) -> RowMapper:
-    """Build a row-mapper closure for an output plan."""
-
-    def map_row(
-        entity_manager: EntityManager,
-        columns: Sequence[str],
-        row: tuple[object, ...],
-    ) -> object:
-        return _map_value(plan, entity_manager, columns, row)
-
-    return map_row
-
-
-def _map_value(
-    plan: OutputPlan,
-    entity_manager: EntityManager,
-    columns: Sequence[str],
-    row: tuple[object, ...],
-) -> object:
-    """Map one result row into the value shape ``plan`` describes.
-
-    Entity plans delegate to the EntityManager so the identity map stays
-    authoritative; a plan narrowed by projection pruning materialises a
-    *partially loaded* entity (``plan.partial``) that lazily completes on
-    first access to an unloaded field.
-    """
-    if isinstance(plan, ColumnOutputPlan):
-        label = plan.label.lower()
-        for position, column in enumerate(columns):
-            if column.lower() == label:
-                return row[position]
-        raise RewriteError(f"result set has no column {plan.label!r}")
-    if isinstance(plan, EntityOutputPlan):
-        return entity_manager.materialise_entity(
-            plan.entity_name,
-            columns,
-            row,
-            column_prefix=plan.column_prefix,
-            partial=plan.partial,
-        )
-    if isinstance(plan, PairOutputPlan):
-        return Pair(
-            _map_value(plan.first, entity_manager, columns, row),
-            _map_value(plan.second, entity_manager, columns, row),
-        )
-    if isinstance(plan, TupleOutputPlan):
-        return tuple(
-            _map_value(item, entity_manager, columns, row) for item in plan.items
-        )
-    raise RewriteError(f"unknown output plan {plan!r}")
 
 
 def bind_parameters(
@@ -102,9 +45,8 @@ def execute_generated_query(
 ) -> QuerySet:
     """Execute a generated query and fill the destination QuerySet."""
     params = bind_parameters(generated, variable_values)
-    mapper = build_row_mapper(generated.output_plan)
     return entity_manager.execute_sql_query(
-        generated.sql, params, mapper, destination
+        generated.sql, params, generated.result_mapper, destination
     )
 
 
@@ -120,7 +62,6 @@ def lazy_generated_query(
     ``sortedByDoubleDescending`` / ``firstN``) be folded into the SQL.
     """
     params = bind_parameters(generated, variable_values)
-    mapper = build_row_mapper(generated.output_plan)
     entity_name = (
         generated.output_plan.entity_name
         if isinstance(generated.output_plan, EntityOutputPlan)
@@ -130,7 +71,7 @@ def lazy_generated_query(
         entity_manager,
         generated.sql,
         params,
-        mapper,
+        generated.result_mapper,
         entity_name=entity_name,
         order_resolver=make_order_resolver(entity_manager, generated.output_plan),
     )

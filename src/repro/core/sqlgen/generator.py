@@ -5,13 +5,14 @@ The generator turns a :class:`~repro.core.querytree.nodes.QueryTree` into
 * the SQL text (SELECT/FROM/WHERE and optional ORDER BY / LIMIT),
 * the ordered list of outer variables to bind to the ``?`` parameters, and
 * an *output plan* describing how result rows map back to entities, Pairs or
-  scalar values (consumed by :mod:`repro.core.runtime`).
+  scalar values, compiled once into the result mapper
+  :mod:`repro.core.runtime` executes with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Sequence, Union
 
 from repro.core.querytree.nodes import (
     ColumnOutput,
@@ -22,32 +23,31 @@ from repro.core.querytree.nodes import (
     TupleOutput,
 )
 from repro.core.sqlgen.dialect import ExpressionRenderer, render_column
+from repro.orm.entity_manager import EntityManager, ResultMapper
 from repro.orm.mapping import OrmMapping
+from repro.orm.pair import Pair
 from repro.errors import RewriteError
 
 
 @dataclass(frozen=True)
 class EntityOutputPlan:
-    """Result rows contain columns of one entity, with a column prefix.
+    """Result rows carry every mapped column of one entity binding.
 
-    ``partial`` is True when projection pruning narrowed the SELECT list to
-    a subset of the entity's mapped columns; the runtime then materialises a
-    *partially loaded* entity that completes itself lazily (and must not
-    poison the identity map — see
-    :meth:`repro.orm.entity_manager.EntityManager.materialise_entity`).
+    ``columns`` holds a ``(select-list position, column key)`` pair per
+    mapped column; the key is the lower-case column name the entity stores
+    its row data under.
     """
 
     entity_name: str
     binding: str
-    column_prefix: str
-    partial: bool = False
+    columns: tuple[tuple[int, str], ...]
 
 
 @dataclass(frozen=True)
 class ColumnOutputPlan:
-    """Result rows contain one computed column under ``label``."""
+    """Result rows carry one computed column at select-list ``position``."""
 
-    label: str
+    position: int
 
 
 @dataclass(frozen=True)
@@ -72,13 +72,21 @@ OutputPlan = Union[
 
 @dataclass
 class GeneratedSql:
-    """The outcome of SQL generation for one query loop."""
+    """The outcome of SQL generation for one query loop.
+
+    ``result_mapper`` is ``output_plan`` compiled once, when the SQL is
+    generated; every execution of the query maps its rows through it.
+    """
 
     sql: str
     parameter_sources: list[str]
     output_plan: OutputPlan
     source_entity: str
     select_items: list[str] = field(default_factory=list)
+    result_mapper: ResultMapper = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.result_mapper = compile_result_mapper(self.output_plan)
 
     def describe(self) -> str:
         """Readable multi-line description (used by docs and benches)."""
@@ -97,18 +105,17 @@ class SqlGenerator:
     def generate(self, tree: QueryTree) -> GeneratedSql:
         """Generate the SELECT statement for ``tree``.
 
-        When the optimizer filled in ``tree.required_columns``, entity
-        outputs expand to only the consumed columns (projection pruning)
-        instead of every mapped column; identical projected expressions and
-        repeated entity outputs are emitted once (redundant-projection
-        elimination).
+        An entity output escapes the query to code the rewriter cannot see,
+        so it expands to every mapped column of its binding; identical
+        projected expressions and repeated entity outputs are emitted once
+        (redundant-projection elimination).
         """
         if tree.output is None:
             raise RewriteError("query tree has no output")
         renderer = ExpressionRenderer()
 
         select_items: list[str] = []
-        state = _SelectState(tree=tree)
+        state = _SelectState()
         output_plan = self._plan_output(tree.output, select_items, renderer, state)
 
         from_clause = ", ".join(
@@ -160,14 +167,15 @@ class SqlGenerator:
             # Deduplicate on the expression *node*, not its rendered text:
             # rendering has a side effect (parameters are recorded in
             # textual order) and distinct parameters all render as "?".
-            label = state.column_labels.get(output.expression)
-            if label is None:
-                label = f"COL{len(state.column_labels)}"
-                state.column_labels[output.expression] = label
+            position = state.column_positions.get(output.expression)
+            if position is None:
+                position = len(select_items)
+                label = f"COL{len(state.column_positions)}"
+                state.column_positions[output.expression] = position
                 select_items.append(
                     f"({renderer.render(output.expression)}) AS {label}"
                 )
-            return ColumnOutputPlan(label=label.lower())
+            return ColumnOutputPlan(position=position)
         if isinstance(output, EntityOutput):
             return self._plan_entity_output(output, select_items, state)
         if isinstance(output, PairOutput):
@@ -193,23 +201,17 @@ class SqlGenerator:
         if cached is not None:
             return cached
         entity_mapping = self._mapping.entity(output.entity_name)
-        required = None
-        if state.tree.required_columns is not None:
-            required = state.tree.required_columns.get(output.binding)
-        emitted = 0
+        columns: list[tuple[int, str]] = []
         for column_field in entity_mapping.fields:
-            if required is not None and column_field.column.lower() not in required:
-                continue
             alias = f"{output.binding}_{column_field.column}".upper()
+            columns.append((len(select_items), column_field.column.lower()))
             select_items.append(
                 f"({output.binding}.{column_field.column.upper()}) AS {alias}"
             )
-            emitted += 1
         plan = EntityOutputPlan(
             entity_name=output.entity_name,
             binding=output.binding,
-            column_prefix=f"{output.binding.lower()}_",
-            partial=emitted < len(entity_mapping.fields),
+            columns=tuple(columns),
         )
         state.entity_plans[output.binding] = plan
         return plan
@@ -219,8 +221,53 @@ class SqlGenerator:
 class _SelectState:
     """Per-generation bookkeeping for select-item deduplication."""
 
-    tree: QueryTree
-    #: Projected expression node -> allocated ``COLn`` label.
-    column_labels: dict[object, str] = field(default_factory=dict)
+    #: Projected expression node -> its select-list position.
+    column_positions: dict[object, int] = field(default_factory=dict)
     #: Binding alias -> already-emitted entity output plan.
     entity_plans: dict[str, "EntityOutputPlan"] = field(default_factory=dict)
+
+
+#: Reads one output value from a result row, given the EntityManager's
+#: ``materialise_entity``.
+_ValueReader = Callable[[Callable[[str, dict], object], tuple], object]
+
+
+def compile_result_mapper(plan: OutputPlan) -> ResultMapper:
+    """Compile an output plan into one function that maps a result's rows.
+
+    Every value's select-list position is fixed when the SQL is generated,
+    so the mapper reads rows by position and never looks at column names.
+    """
+    read = _value_reader(plan)
+
+    def map_rows(
+        entity_manager: EntityManager,
+        columns: Sequence[str],
+        rows: Sequence[tuple[object, ...]],
+    ) -> list[object]:
+        materialise = entity_manager.materialise_entity
+        return [read(materialise, row) for row in rows]
+
+    return map_rows
+
+
+def _value_reader(plan: OutputPlan) -> _ValueReader:
+    if isinstance(plan, ColumnOutputPlan):
+        position = plan.position
+        return lambda materialise, row: row[position]
+    if isinstance(plan, EntityOutputPlan):
+        entity_name, layout = plan.entity_name, plan.columns
+        return lambda materialise, row: materialise(
+            entity_name, {key: row[position] for position, key in layout}
+        )
+    if isinstance(plan, PairOutputPlan):
+        first, second = _value_reader(plan.first), _value_reader(plan.second)
+        return lambda materialise, row: Pair(
+            first(materialise, row), second(materialise, row)
+        )
+    if isinstance(plan, TupleOutputPlan):
+        items = tuple(_value_reader(item) for item in plan.items)
+        return lambda materialise, row: tuple(
+            [item(materialise, row) for item in items]
+        )
+    raise RewriteError(f"unknown output plan {plan!r}")

@@ -29,7 +29,6 @@ class Entity:
         object.__setattr__(self, "_data", {})
         object.__setattr__(self, "_dirty_fields", set())
         object.__setattr__(self, "_entity_manager", None)
-        object.__setattr__(self, "_partial", False)
         for name, value in field_values.items():
             setattr(self, name, value)
 
@@ -40,22 +39,16 @@ class Entity:
         cls,
         entity_manager: "EntityManager",
         values_by_column: dict[str, object],
-        partial: bool = False,
     ) -> "Entity":
         """Build an entity from a database row without marking it dirty.
 
-        ``partial=True`` marks the instance as *partially loaded*: the row
-        came from a projection-pruned SELECT and may omit mapped columns.
-        Reading an omitted field triggers lazy completion through the
-        EntityManager (one primary-key lookup that merges the full row).
+        The instance takes ownership of ``values_by_column`` (keyed by
+        lower-case column name) as its row data.
         """
         instance = cls.__new__(cls)
-        object.__setattr__(instance, "_data", dict(values_by_column))
+        object.__setattr__(instance, "_data", values_by_column)
         object.__setattr__(instance, "_dirty_fields", set())
         object.__setattr__(instance, "_entity_manager", entity_manager)
-        object.__setattr__(
-            instance, "_partial", bool(partial and instance._missing_columns())
-        )
         return instance
 
     def _bind(self, entity_manager: "EntityManager") -> None:
@@ -74,12 +67,12 @@ class Entity:
         mapping = type(self)._mapping
         field = mapping.field_by_accessor(name)
         if field is not None:
-            if name == field.getter:
-                return lambda: self._field_value(field.name)
-            return self._field_value(name)
+            if name != field.name:  # the Java-style getter
+                return lambda: self._column_value(field.column)
+            return self._column_value(field.column)
         relationship = mapping.relationship_by_accessor(name)
         if relationship is not None:
-            if name == relationship.getter:
+            if name != relationship.name:  # the Java-style getter
                 return lambda: self._navigate(relationship.name)
             return self._navigate(name)
         # Java-style setter.
@@ -108,54 +101,9 @@ class Entity:
         if manager is not None:
             manager._mark_dirty(self)
 
-    def _field_value(self, field_name: str) -> object:
-        mapping = type(self)._mapping
-        field = mapping.field_by_name(field_name)
-        if field is None:
-            raise OrmError(f"{mapping.entity_name} has no field {field_name!r}")
-        return self._column_value(field.column)
-
     def _column_value(self, column: str) -> object:
-        """Value of a table column, lazily completing a partial entity.
-
-        A partially loaded entity (projection pruning) fetches its full row
-        once, on the first read of a column the pruned SELECT did not cover.
-        """
-        key = column.lower()
-        if key not in self._data and self._partial:
-            manager = self._entity_manager
-            if manager is not None:
-                manager._complete_entity(self)
-        return self._data.get(key)
-
-    def _missing_columns(self) -> frozenset[str]:
-        """Mapped columns absent from the loaded row data."""
-        mapping = type(self)._mapping
-        return frozenset(
-            field.column.lower()
-            for field in mapping.fields
-            if field.column.lower() not in self._data
-        )
-
-    def _merge_row(self, values_by_column: dict[str, object]) -> None:
-        """Merge freshly read column values into a partially loaded entity.
-
-        Only columns the entity has *not* loaded yet are taken — locally
-        modified (dirty) or already-loaded values win, so merging can never
-        clobber in-memory state with stale database data.
-        """
-        if not self._partial:
-            return
-        for column, value in values_by_column.items():
-            if column.lower() not in self._data:
-                self._data[column.lower()] = value
-        if not self._missing_columns():
-            object.__setattr__(self, "_partial", False)
-
-    @property
-    def is_partially_loaded(self) -> bool:
-        """True while mapped columns are missing from the loaded row."""
-        return bool(self._partial)
+        """Value of a table column (None when the row did not carry it)."""
+        return self._data.get(column.lower())
 
     def _navigate(self, relationship_name: str):
         manager = self._entity_manager

@@ -6,13 +6,13 @@ representations remain consistent."*
 
 The EntityManager is also the place where the Queryll runtime executes
 generated SQL: rewritten queries call :meth:`EntityManager.execute_sql_query`
-with the SQL text, parameter values and a row-mapper describing how to turn
-result rows back into entities / Pairs / scalars.
+with the SQL text, parameter values and a result mapper describing how to
+turn result rows back into entities / Pairs / scalars.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.errors import OrmError
 from repro.orm.entity import Entity
@@ -20,9 +20,12 @@ from repro.orm.mapping import EntityMapping, OrmMapping, RelationshipMapping
 from repro.orm.queryset import LazyQuery, QuerySet
 from repro.sqlengine.engine import Database
 
-#: A row mapper turns one result row (with its column names) into a result
-#: item, given the EntityManager for entity materialisation.
-RowMapper = Callable[["EntityManager", Sequence[str], tuple[object, ...]], object]
+#: A result mapper turns the rows of one result (with the result's column
+#: names) into result items, given the EntityManager for entity
+#: materialisation.
+ResultMapper = Callable[
+    ["EntityManager", Sequence[str], Sequence[tuple[object, ...]]], list[object]
+]
 
 
 #: Maps an accessor chain (e.g. ``("getFirst", "getTitle")``) to a SQL column
@@ -31,14 +34,14 @@ OrderResolver = Callable[[tuple[str, ...]], Optional[str]]
 
 
 class SqlBackedQuery(LazyQuery):
-    """A pending SQL query (SELECT text + parameters + row mapper)."""
+    """A pending SQL query (SELECT text + parameters + result mapper)."""
 
     def __init__(
         self,
         entity_manager: "EntityManager",
         sql: str,
         params: tuple[object, ...],
-        row_mapper: RowMapper,
+        result_mapper: ResultMapper,
         order_by_sql: list[tuple[str, bool]] | None = None,
         limit: Optional[int] = None,
         entity_name: Optional[str] = None,
@@ -48,7 +51,7 @@ class SqlBackedQuery(LazyQuery):
         self._em = entity_manager
         self._sql = sql
         self._params = params
-        self._row_mapper = row_mapper
+        self._result_mapper = result_mapper
         self._order_by = list(order_by_sql or [])
         self._limit = limit
         self._entity_name = entity_name
@@ -59,8 +62,7 @@ class SqlBackedQuery(LazyQuery):
 
     def load(self) -> list[object]:
         result = self._em.execute_sql(self.final_sql(), self._params)
-        columns = result.columns
-        return [self._row_mapper(self._em, columns, row) for row in result.rows]
+        return self._result_mapper(self._em, result.columns, result.rows)
 
     def ordered_by(
         self, accessors: tuple[str, ...], descending: bool
@@ -101,7 +103,7 @@ class SqlBackedQuery(LazyQuery):
             self._em,
             self._sql,
             self._params,
-            self._row_mapper,
+            self._result_mapper,
             order_by if order_by is not None else self._order_by,
             limit if limit is not None else self._limit,
             self._entity_name,
@@ -191,7 +193,7 @@ class EntityManager:
             self,
             sql,
             (),
-            make_entity_row_mapper(entity_name),
+            entity_result_mapper(entity_name),
             entity_name=entity_name,
         )
         return QuerySet.lazy(query)
@@ -209,10 +211,7 @@ class EntityManager:
                 f"SELECT A.* FROM {mapping.table} AS A "
                 f"WHERE A.{mapping.primary_key.column} = ?"
             )
-        result = self.execute_sql(sql, (primary_key,))
-        if not result.rows:
-            return None
-        return self.materialise_entity(entity_name, result.columns, result.rows[0])
+        return self._first_entity(entity_name, sql, primary_key)
 
     def __getattr__(self, name: str):
         # Java-style em.allClient(), em.allAccount() ... accessors.
@@ -238,7 +237,7 @@ class EntityManager:
         self,
         sql: str,
         params: Sequence[object],
-        row_mapper: RowMapper,
+        result_mapper: ResultMapper,
         destination: QuerySet | None = None,
     ) -> QuerySet:
         """Run generated SQL and fill ``destination`` with mapped results.
@@ -246,7 +245,7 @@ class EntityManager:
         This is the runtime entry point used by rewritten query methods.
         """
         result = self.execute_sql(sql, params)
-        items = [row_mapper(self, result.columns, row) for row in result.rows]
+        items = result_mapper(self, result.columns, result.rows)
         if destination is None:
             destination = QuerySet()
         destination.add_all(items)
@@ -254,78 +253,33 @@ class EntityManager:
 
     # -- entity materialisation ---------------------------------------------------------------
 
-    def materialise_entity(
-        self,
-        entity_name: str,
-        columns: Sequence[str],
-        row: tuple[object, ...],
-        column_prefix: str = "",
-        partial: bool = False,
-    ) -> Entity:
-        """Turn a result row into an entity instance (identity-map aware).
+    def materialise_entity(self, entity_name: str, values: dict[str, object]) -> Entity:
+        """Turn one row's values into an entity instance (identity-map aware).
 
-        ``column_prefix`` selects a subset of columns when the row spans
-        several joined tables (e.g. ``col0_``, ``col1_`` prefixes).
-
-        ``partial=True`` says the row comes from a projection-pruned SELECT
-        and may omit mapped columns.  Partial rows must not poison the
-        identity map: when the primary key is already cached, the fresh
-        column values are *merged into* the cached instance (never
-        overwriting loaded or locally modified data), and a new instance
-        built from a partial row is flagged so it lazily completes on first
-        access to an unloaded field.
+        ``values`` maps lower-case column names to the row's values and
+        becomes the new instance's row data.  When the primary key is
+        already cached, the cached instance wins: its loaded and locally
+        modified data are kept and the re-read row is dropped.
         """
         mapping = self._mapping.entity(entity_name)
-        values: dict[str, object] = {}
-        for column, value in zip(columns, row):
-            name = column.lower()
-            if column_prefix:
-                if not name.startswith(column_prefix):
-                    continue
-                name = name[len(column_prefix):]
-            if mapping.field_by_column(name) is not None:
-                values[name] = value
-        key_column = mapping.primary_key.column.lower()
-        primary_key = values.get(key_column)
+        primary_key = values.get(mapping.primary_key.column.lower())
         identity_key = (entity_name, primary_key)
-        if primary_key is not None and identity_key in self._identity_map:
-            cached = self._identity_map[identity_key]
-            cached._merge_row(values)
+        cached = self._identity_map.get(identity_key)
+        if cached is not None:
             return cached
-        entity_class = self.entity_class(entity_name)
-        instance = entity_class._from_row(self, values, partial=partial)
+        instance = self.entity_class(entity_name)._from_row(self, values)
         if primary_key is not None:
             self._identity_map[identity_key] = instance
         return instance
 
-    def _complete_entity(self, entity: Entity) -> None:
-        """Load the full row of a partially loaded entity (one PK lookup).
-
-        Called lazily by :meth:`Entity._column_value` the first time an
-        unloaded field is read; the fetched values are merged, so loaded and
-        dirty data always win over the re-read row.
-        """
-        mapping = type(entity)._mapping
-        primary_key = entity.primary_key_value
-        if primary_key is None:
-            return
-        sql = self._find_sql.get(mapping.entity_name)
-        if sql is None:
-            sql = self._find_sql[mapping.entity_name] = (
-                f"SELECT A.* FROM {mapping.table} AS A "
-                f"WHERE A.{mapping.primary_key.column} = ?"
-            )
-        result = self.execute_sql(sql, (primary_key,))
-        if not result.rows:
-            # The row is gone (concurrent delete): stop retrying completion,
-            # the unloaded fields simply read as None.
-            object.__setattr__(entity, "_partial", False)
-            return
-        values = {
-            column.lower(): value
-            for column, value in zip(result.columns, result.rows[0])
-        }
-        entity._merge_row(values)
+    def _first_entity(self, entity_name: str, sql: str, key: object) -> Optional[Entity]:
+        """Run a one-parameter ``SELECT A.*`` query and materialise its first
+        row (None when it returns no rows)."""
+        result = self.execute_sql(sql, (key,))
+        entities = entity_result_mapper(entity_name)(
+            self, result.columns, result.rows[:1]
+        )
+        return entities[0] if entities else None
 
     # -- relationship navigation -------------------------------------------------------------------
 
@@ -343,8 +297,6 @@ class EntityManager:
     def _navigate_to_one(
         self, entity: Entity, relationship: RelationshipMapping
     ) -> Optional[Entity]:
-        # _column_value (not row_values) so a partially loaded entity
-        # completes itself instead of silently navigating from a missing FK.
         foreign_key = entity._column_value(relationship.local_column)
         if foreign_key is None:
             return None
@@ -355,12 +307,7 @@ class EntityManager:
             f"SELECT A.* FROM {target_mapping.table} AS A "
             f"WHERE A.{relationship.remote_column} = ?"
         )
-        result = self.execute_sql(sql, (foreign_key,))
-        if not result.rows:
-            return None
-        return self.materialise_entity(
-            relationship.target_entity, result.columns, result.rows[0]
-        )
+        return self._first_entity(relationship.target_entity, sql, foreign_key)
 
     def _navigate_to_many(
         self,
@@ -378,7 +325,7 @@ class EntityManager:
             self,
             sql,
             (local_value,),
-            make_entity_row_mapper(relationship.target_entity),
+            entity_result_mapper(relationship.target_entity),
             entity_name=relationship.target_entity,
         )
         return QuerySet.lazy(query)
@@ -513,29 +460,20 @@ class EntityManager:
             raise OrmError("this EntityManager has been closed")
 
 
-def make_entity_row_mapper(entity_name: str, column_prefix: str = "") -> RowMapper:
-    """Row mapper materialising rows of a single entity."""
+def entity_result_mapper(entity_name: str) -> ResultMapper:
+    """Result mapper for ``SELECT A.*`` rows of one entity: the positions of
+    its mapped columns are resolved once per result, from the column names."""
 
-    def mapper(
+    def map_rows(
         entity_manager: EntityManager,
         columns: Sequence[str],
-        row: tuple[object, ...],
-    ) -> object:
-        return entity_manager.materialise_entity(
-            entity_name, columns, row, column_prefix
-        )
+        rows: Sequence[tuple[object, ...]],
+    ) -> list[object]:
+        layout = entity_manager.mapping.entity(entity_name).column_layout(columns)
+        materialise = entity_manager.materialise_entity
+        return [
+            materialise(entity_name, {key: row[position] for position, key in layout})
+            for row in rows
+        ]
 
-    return mapper
-
-
-def make_scalar_row_mapper(column_index: int = 0) -> RowMapper:
-    """Row mapper returning a single column value per row."""
-
-    def mapper(
-        entity_manager: EntityManager,
-        columns: Sequence[str],
-        row: tuple[object, ...],
-    ) -> object:
-        return row[column_index]
-
-    return mapper
+    return map_rows

@@ -10,7 +10,7 @@ which column and which getter navigates which relationship.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from repro.errors import OrmError
 from repro.sqlengine.catalog import ColumnSchema, SqlType, TableSchema
@@ -60,7 +60,11 @@ class RelationshipMapping:
 
 @dataclass
 class EntityMapping:
-    """Mapping of one entity class to one table."""
+    """Mapping of one entity class to one table.
+
+    ``fields`` and ``relationships`` are fixed once the mapping is built: the
+    lookup indexes below are computed from them in ``__post_init__``.
+    """
 
     entity_name: str
     table: str
@@ -82,46 +86,57 @@ class EntityMapping:
                     f"in entity {self.entity_name!r}"
                 )
             seen.add(relationship.name)
+        # setdefault keeps the first match, as a scan of the lists would.
+        self._fields_by_name: dict[str, FieldMapping] = {}
+        self._fields_by_accessor: dict[str, FieldMapping] = {}
+        self._fields_by_column: dict[str, FieldMapping] = {}
+        for mapping in self.fields:
+            self._fields_by_name.setdefault(mapping.name, mapping)
+            self._fields_by_accessor.setdefault(mapping.name, mapping)
+            self._fields_by_accessor.setdefault(mapping.getter, mapping)
+            self._fields_by_column.setdefault(mapping.column.lower(), mapping)
+        self._relationships_by_accessor: dict[str, RelationshipMapping] = {}
+        for relationship in self.relationships:
+            self._relationships_by_accessor.setdefault(relationship.name, relationship)
+            self._relationships_by_accessor.setdefault(relationship.getter, relationship)
+        self._primary_keys = [mapping for mapping in self.fields if mapping.primary_key]
 
     # -- lookups ---------------------------------------------------------------
 
     @property
     def primary_key(self) -> FieldMapping:
         """The primary key field (exactly one is required)."""
-        keys = [mapping for mapping in self.fields if mapping.primary_key]
-        if len(keys) != 1:
+        if len(self._primary_keys) != 1:
             raise OrmError(
                 f"entity {self.entity_name!r} must have exactly one primary key field"
             )
-        return keys[0]
+        return self._primary_keys[0]
 
     def field_by_name(self, name: str) -> Optional[FieldMapping]:
         """Field mapping by attribute name (``country``)."""
-        for mapping in self.fields:
-            if mapping.name == name:
-                return mapping
-        return None
+        return self._fields_by_name.get(name)
 
     def field_by_accessor(self, accessor: str) -> Optional[FieldMapping]:
         """Field mapping by attribute name or Java-style getter name."""
-        for mapping in self.fields:
-            if accessor in (mapping.name, mapping.getter):
-                return mapping
-        return None
+        return self._fields_by_accessor.get(accessor)
 
     def field_by_column(self, column: str) -> Optional[FieldMapping]:
         """Field mapping by table column name (case-insensitive)."""
-        for mapping in self.fields:
-            if mapping.column.lower() == column.lower():
-                return mapping
-        return None
+        return self._fields_by_column.get(column.lower())
 
     def relationship_by_accessor(self, accessor: str) -> Optional[RelationshipMapping]:
         """Relationship mapping by attribute name or getter name."""
-        for relationship in self.relationships:
-            if accessor in (relationship.name, relationship.getter):
-                return relationship
-        return None
+        return self._relationships_by_accessor.get(accessor)
+
+    def column_layout(self, columns: Sequence[str]) -> tuple[tuple[int, str], ...]:
+        """``(position, column key)`` of each mapped column among a result's
+        column names; the key is the lower-case column name entities store
+        their row data under."""
+        return tuple(
+            (position, name.lower())
+            for position, name in enumerate(columns)
+            if name.lower() in self._fields_by_column
+        )
 
     # -- schema generation -------------------------------------------------------
 

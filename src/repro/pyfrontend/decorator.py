@@ -303,8 +303,8 @@ def query(
     actually translated to SQL.
 
     ``optimize=False`` disables the logical query-tree optimizer for this
-    function (the ablation the benchmarks measure: full-entity-width SELECT
-    lists and un-normalized predicates, as the bare paper pipeline emits).
+    function (the ablation the benchmarks measure: the same SELECT lists
+    with un-normalized predicates, as the bare paper pipeline emits).
     ``optimizer_options`` passes a full
     :class:`~repro.core.optimizer.OptimizerOptions` instead, for rule
     subsets or trace mode.

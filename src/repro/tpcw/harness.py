@@ -345,72 +345,6 @@ class TpcwBenchmark:
             }
         return results
 
-    # -- projection split ----------------------------------------------------------------------
-
-    #: Queryll query -> (loop function name, parameter generator method).
-    PROJECTION_QUERIES: tuple[tuple[str, str], ...] = (
-        ("getName", "customer_id"),
-        ("getCustomer", "customer_username"),
-        ("doSubjectSearch", "subject"),
-        ("doGetRelated", "item_id"),
-    )
-
-    def run_projection_split(self) -> dict[str, dict[str, object]]:
-        """Per-query row-width split: optimized vs unoptimized projection.
-
-        For each of the paper's four Queryll queries this generates the SQL
-        twice — through the full logical optimizer and with
-        ``OptimizerOptions(optimize=False)`` — executes both against the
-        populated database and reports, per variant, the SELECT-list width
-        (``columns``), the average row payload in bytes (``bytes_per_row``,
-        UTF-8 length of every value) and the row count.  This makes the
-        projection-pruning win machine-readable alongside the throughput
-        numbers.
-        """
-        from repro.core.optimizer import OptimizerOptions
-        from repro.core.pipeline import QueryllPipeline
-        from repro.pyfrontend.disassembler import lower_function
-
-        mapping = self.database.orm.mapping
-        session = self.database.database.session()
-        pipelines = {
-            "optimized": QueryllPipeline(mapping),
-            "unoptimized": QueryllPipeline(
-                mapping, optimizer_options=OptimizerOptions(optimize=False)
-            ),
-        }
-        report: dict[str, dict[str, object]] = {}
-        for name, parameter in self.PROJECTION_QUERIES:
-            function = queries_queryll.QUERY_FUNCTIONS[name]
-            method = lower_function(function.original)
-            self._parameters.reset()
-            value = getattr(self._parameters, parameter)()
-            entry: dict[str, object] = {}
-            for variant, pipeline in pipelines.items():
-                generated = pipeline.analyze_method(method).queries[0].generated
-                params = tuple(value for _ in generated.parameter_sources)
-                result = session.execute(generated.sql, params)
-                payload = sum(
-                    len(str(cell).encode("utf-8"))
-                    for row in result.rows
-                    for cell in row
-                )
-                rows = len(result.rows)
-                entry[variant] = {
-                    "columns": len(generated.select_items),
-                    "rows": rows,
-                    "bytes_per_row": payload / rows if rows else 0.0,
-                    "sql": generated.sql,
-                }
-            optimized = entry["optimized"]
-            unoptimized = entry["unoptimized"]
-            entry["width_ratio"] = (
-                optimized["columns"] / unoptimized["columns"]  # type: ignore[operator]
-                if unoptimized["columns"] else 1.0
-            )
-            report[name] = entry
-        return report
-
     # -- concurrent throughput -----------------------------------------------------------------
 
     def run_throughput(

@@ -17,7 +17,6 @@ from repro.core.optimizer.rules import (
     decompose_selection,
     eliminate_duplicates,
     merge_ranges,
-    prune_projection,
     push_join_conditions,
     simplify_predicate,
     split_conjuncts,
@@ -276,46 +275,6 @@ class TestEliminateDuplicates:
         assert result.join_conditions == [eq(col("A", "ClientID"), col("B", "ClientID"))]
 
 
-class TestPruneProjection:
-    def test_collects_output_predicate_and_ordering_columns(
-        self, account_client_tree, context
-    ) -> None:
-        tree = account_client_tree
-        tree.where = eq(col("B", "Country"), SqlLiteral("Canada"))
-        tree.join_conditions = [eq(col("A", "ClientID"), col("B", "ClientID"))]
-        tree.order_by = [(col("B", "PostalCode"), False)]
-        result = prune_projection(tree, context)
-        assert result is not None
-        # Client (entity output): pk + predicate/join/order columns.
-        assert result.required_columns["B"] == frozenset(
-            {"clientid", "country", "postalcode"}
-        )
-        # Account (column output only): the consumed columns.
-        assert result.required_columns["A"] == frozenset({"balance", "clientid"})
-
-    def test_entity_output_keeps_to_one_foreign_keys(self, context) -> None:
-        tree = QueryTree()
-        tree.add_binding("Account", "Account")
-        tree.output = EntityOutput("A", "Account")
-        result = prune_projection(tree, context)
-        assert result is not None
-        # AccountID is the pk, ClientID the holder FK; Balance/MinBalance
-        # are not consumed by anything and get pruned.
-        assert result.required_columns["A"] == frozenset({"accountid", "clientid"})
-
-    def test_disabled_by_option(self, account_client_tree) -> None:
-        context = RuleContext(
-            mapping=make_bank_mapping(),
-            options=OptimizerOptions(prune_projections=False),
-        )
-        assert prune_projection(account_client_tree, context) is None
-
-    def test_idempotent_once_computed(self, account_client_tree, context) -> None:
-        first = prune_projection(account_client_tree, context)
-        assert first is not None
-        assert prune_projection(first, context) is None
-
-
 class TestFixedPointDriver:
     def make_tree(self) -> QueryTree:
         tree = QueryTree()
@@ -337,7 +296,7 @@ class TestFixedPointDriver:
         assert result.passes <= OptimizerOptions().max_passes
         assert result.fire_counts["push-join-conditions"] >= 1
         assert result.fire_counts["merge-ranges"] >= 1
-        assert result.fire_counts["prune-projection"] >= 1
+        assert result.fire_counts["simplify-predicate"] >= 1
         # Fixed point: a second run over the result changes nothing.
         again = optimizer.optimize(result.tree)
         assert not again.fired

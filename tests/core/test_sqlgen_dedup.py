@@ -81,3 +81,49 @@ class TestSelectItemDedup:
         pair = execute_generated_query(em, generated, {}, None).to_list()[0]
         assert pair.getFirst() is pair.getSecond()
         assert pair.getFirst().clientId == 1000
+
+
+class TestPositionalResultMapper:
+    def test_plans_carry_their_select_list_positions(self) -> None:
+        mapping = make_bank_mapping()
+        generated = SqlGenerator(mapping).generate(
+            _tree(
+                TupleOutput(
+                    items=(
+                        ColumnOutput(SqlColumn("A", "Name")),
+                        EntityOutput("A", "Client"),
+                    )
+                )
+            )
+        )
+        column_plan, entity_plan = generated.output_plan.items
+        assert column_plan.position == 0
+        fields = mapping.entity("Client").fields
+        assert entity_plan.columns == tuple(
+            (position, field.column.lower())
+            for position, field in enumerate(fields, start=1)
+        )
+        for position, key in entity_plan.columns:
+            alias = generated.select_items[position].split(" AS ")[1]
+            assert alias == f"A_{key}".upper()
+
+    def test_mapper_reads_rows_by_position_not_column_name(self) -> None:
+        generated = SqlGenerator(make_bank_mapping()).generate(
+            _tree(
+                PairOutput(
+                    first=ColumnOutput(SqlColumn("A", "Country")),
+                    second=EntityOutput("A", "Client"),
+                )
+            )
+        )
+        em = make_bank_db().begin_transaction()
+        row = (
+            "Narnia", 4242, "Zed", "2 Side Street", "Narnia", "N1",
+        )
+        # The column names are never consulted: rename them all.
+        [pair] = generated.result_mapper(em, ["?"] * len(row), [row])
+        assert pair.getFirst() == "Narnia"
+        client = pair.getSecond()
+        assert (client.clientId, client.name, client.postalCode) == (4242, "Zed", "N1")
+        assert em.find("Client", 4242) is client
+        assert em.queries_executed == 0

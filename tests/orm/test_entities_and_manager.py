@@ -43,6 +43,18 @@ class TestEntityAccess:
         assert client.getAccounts().size() == 2
         bank_db.endTransaction(em, True)
 
+    def test_cached_instance_wins_over_a_reread_row(self, bank_db: QueryllDatabase) -> None:
+        em = bank_db.begin_transaction()
+        client = em.find("Client", 1000)
+        client.name = "Alicia"
+        again = em.materialise_entity("Client", {"clientid": 1000, "name": "Alice"})
+        assert again is client
+        assert client.name == "Alicia"
+        assert client in em.dirty_entities
+        # A SELECT A.* result re-reading the row keeps the instance too.
+        assert any(c is client for c in em.all("Client"))
+        assert client.name == "Alicia"
+
     def test_entity_equality_and_hash_by_primary_key(self, bank_db: QueryllDatabase) -> None:
         em1 = bank_db.begin_transaction()
         em2 = bank_db.begin_transaction()

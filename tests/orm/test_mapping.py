@@ -34,6 +34,25 @@ class TestEntityMapping:
         assert mapping.field_by_column("NAME").name == "name"
         assert mapping.field_by_name("missing") is None
 
+    def test_relationship_lookup_by_name_and_getter(self) -> None:
+        mapping = EntityMapping(
+            "Account",
+            "Account",
+            fields=[FieldMapping("accountId", "AccountID", SqlType.INTEGER, primary_key=True)],
+            relationships=[RelationshipMapping("holder", "Client", "ClientID", "ClientID")],
+        )
+        holder = mapping.relationship_by_accessor("holder")
+        assert holder is not None and holder.target_entity == "Client"
+        assert mapping.relationship_by_accessor("getHolder") is holder
+        assert mapping.relationship_by_accessor("accountId") is None
+        assert mapping.field_by_accessor("holder") is None
+
+    def test_column_layout_keeps_mapped_columns_in_result_order(self) -> None:
+        layout = client_mapping().column_layout(["NAME", "Unmapped", "clientid"])
+        # Positions are into the result row; keys are lower-case column names.
+        assert layout == ((0, "name"), (2, "clientid"))
+        assert client_mapping().column_layout([]) == ()
+
     def test_primary_key(self) -> None:
         assert client_mapping().primary_key.name == "clientId"
 
