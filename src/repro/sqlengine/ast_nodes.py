@@ -213,14 +213,19 @@ class DropTableStatement:
     table: str
 
 
+#: The statements the planner plans (and EXPLAIN can show).
+PlannedStatement = Union[SelectStatement, UpdateStatement, DeleteStatement]
+
+
 @dataclass(frozen=True)
 class ExplainStatement:
-    """``EXPLAIN [ANALYZE] SELECT ...``: plan the query and return the
-    cost-annotated operator tree as rows.  With ``ANALYZE`` the query is
-    actually executed and every operator is annotated with the rows it
-    produced and the wall time it spent (inclusive of its children)."""
+    """``EXPLAIN SELECT | UPDATE | DELETE ...``: plan the statement and
+    return the cost-annotated operator tree as rows.  ``EXPLAIN ANALYZE``
+    (SELECT only) actually executes the query and annotates every operator
+    with the rows it produced and the wall time it spent (inclusive of its
+    children)."""
 
-    statement: "SelectStatement"
+    statement: PlannedStatement
     analyze: bool = False
 
 

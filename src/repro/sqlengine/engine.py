@@ -47,7 +47,7 @@ from repro.sqlengine.durability import DurabilityManager, DurabilityOptions
 from repro.sqlengine.errors import SqlExecutionError, TransactionConflictError
 from repro.sqlengine.executor import Executor, StatementResult
 from repro.sqlengine.parser import parse_statement
-from repro.sqlengine.planner import PlannerOptions, SelectPlan
+from repro.sqlengine.planner import DmlPlan, PlannerOptions, SelectPlan
 from repro.sqlengine.storage import TableData
 from repro.sqlengine.transactions import MvccController, Transaction
 
@@ -120,7 +120,7 @@ class ResultSet:
 @dataclass
 class _CachedStatement:
     statement: ast.Statement
-    plan: Optional[SelectPlan]
+    plan: Optional[SelectPlan | DmlPlan]
 
 
 #: Statements that change the catalog; executing one invalidates every
@@ -323,7 +323,7 @@ class Session:
             return ResultSet(columns=[], rows=[])
         if isinstance(statement, (ast.SelectStatement, ast.ExplainStatement)):
             return self._execute_select(sql, params, cached, generation, obs)
-        return self._execute_write(cached, params, obs)
+        return self._execute_write(sql, params, cached, generation, obs)
 
     def _execute_observed(
         self,
@@ -391,8 +391,7 @@ class Session:
         """
         database = self._database
         controller = database._mvcc
-        cached, _, _ = database._cached_statement(sql)
-        statement = cached.statement
+        cached, generation, _ = database._cached_statement(sql)
         param_rows = list(param_rows)
         attempt = 0
         while True:
@@ -407,9 +406,12 @@ class Session:
             mark = transaction.undo.mark()
             total = 0
             try:
+                if database._cache_generation != generation:
+                    cached, generation, _ = database._cached_statement(sql)
+                plan = database._ensure_plan(cached)
                 for params in param_rows:
                     result = database._executor.execute(
-                        statement, params, txn=transaction
+                        cached.statement, params, plan=plan, txn=transaction
                     )
                     database._count_statement()
                     total += result.rowcount
@@ -489,8 +491,10 @@ class Session:
 
     def _execute_write(
         self,
-        cached: _CachedStatement,
+        sql: str,
         params: Sequence[object],
+        cached: _CachedStatement,
+        generation: int,
         obs: Optional[ActiveSpan] = None,
     ) -> ResultSet:
         database = self._database
@@ -513,14 +517,23 @@ class Session:
                 controller.adopt_transaction(transaction)
             mark = transaction.undo.mark()
             try:
+                # A stale entry's plan would write a dropped table's
+                # detached storage: re-fetch after concurrent DDL, as
+                # _execute_select does.
+                if database._cache_generation != generation:
+                    cached, generation, _ = database._cached_statement(sql)
                 if obs is None:
+                    plan = database._ensure_plan(cached)
                     result = database._executor.execute(
-                        cached.statement, params, txn=transaction
+                        cached.statement, params, plan=plan, txn=transaction
                     )
                 else:
                     t0 = time.perf_counter()
+                    plan = database._ensure_plan(cached)
+                    obs.phase("plan", time.perf_counter() - t0)
+                    t0 = time.perf_counter()
                     result = database._executor.execute(
-                        cached.statement, params, txn=transaction
+                        cached.statement, params, plan=plan, txn=transaction
                     )
                     obs.phase("execute", time.perf_counter() - t0)
                 database._count_statement()
@@ -1346,7 +1359,7 @@ class Database:
         return self._default_session.execute_many(sql, param_rows)
 
     def explain(self, sql: str) -> str:
-        """Return the textual plan for a SELECT statement."""
+        """Return the textual plan for a SELECT, UPDATE or DELETE."""
         token = self._mvcc.begin_statement()
         try:
             cached, _, _ = self._cached_statement(sql)
@@ -1370,7 +1383,7 @@ class Database:
             raise SqlExecutionError("only SELECT statements can be planned")
         token = self._mvcc.begin_statement()
         try:
-            return self._executor.plan_select(statement)
+            return self._executor.plan(statement)
         finally:
             self._mvcc.end_statement(token)
 
@@ -1528,30 +1541,31 @@ class Database:
                     self._statement_cache.popitem(last=False)
             return cached, self._cache_generation, False
 
-    def _ensure_plan(self, cached: _CachedStatement) -> Optional[SelectPlan]:
-        """Plan a cached SELECT on first execution (and replan on
-        statistics drift).
+    def _ensure_plan(
+        self, cached: _CachedStatement
+    ) -> Optional[SelectPlan | DmlPlan]:
+        """Plan a cached SELECT, UPDATE or DELETE (or the statement an
+        EXPLAIN shows) on first execution, and replan on statistics drift;
+        None for statements that are not planned.
 
-        Called while holding the read (or write) lock so planning sees a
-        stable catalog.  Two racing readers may both plan; the plans are
-        equivalent and the attribute write is atomic, so the race is benign.
+        Called inside the statement gate so planning sees a stable catalog.
+        Two racing statements may both plan; the plans are equivalent and
+        the attribute write is atomic, so the race is benign.
         """
+        plan = cached.plan
+        if plan is not None and not self._plan_is_stale(plan):
+            return plan
         statement = cached.statement
         if isinstance(statement, ast.ExplainStatement):
             statement = statement.statement
-        if not isinstance(statement, ast.SelectStatement):
+        if not isinstance(statement, ast.PlannedStatement):
             return None
-        plan = cached.plan
-        if plan is not None and self._plan_is_stale(plan):
-            plan = None
-        if plan is None:
-            plan = self._executor.plan_select(statement)
-            cached.plan = plan
-            with self._counter_lock:
-                self.plans_computed += 1
+        plan = cached.plan = self._executor.plan(statement)
+        with self._counter_lock:
+            self.plans_computed += 1
         return plan
 
-    def _plan_is_stale(self, plan: SelectPlan) -> bool:
+    def _plan_is_stale(self, plan: SelectPlan | DmlPlan) -> bool:
         """True when a referenced table's row count has drifted roughly 2x
         from the value the plan was costed with (small tables are damped so
         a handful of inserts does not thrash the cache)."""

@@ -1,8 +1,9 @@
 """Statement execution for the in-memory SQL engine.
 
 The executor owns the table data dictionary and knows how to run every
-statement kind produced by the parser.  SELECT statements are delegated to
-the :class:`~repro.sqlengine.planner.Planner`.
+statement kind produced by the parser.  SELECT, UPDATE and DELETE are
+planned by the :class:`~repro.sqlengine.planner.Planner`; UPDATE and DELETE
+then write the rows their plan's access path yields.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from typing import Optional, Sequence
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.catalog import Catalog, ColumnSchema, SqlType, TableSchema
 from repro.sqlengine.columnar import BatchOperator, ColumnarMetrics
-from repro.sqlengine.errors import SqlCatalogError, SqlExecutionError
-from repro.sqlengine.expressions import ExpressionCompiler, is_truthy
+from repro.sqlengine.errors import SqlExecutionError
+from repro.sqlengine.expressions import ExpressionCompiler
 from repro.sqlengine.operators import materialise
-from repro.sqlengine.planner import Planner, PlannerOptions, SelectPlan
+from repro.sqlengine.planner import DmlPlan, Planner, PlannerOptions, SelectPlan
 from repro.sqlengine.storage import TableData
 from repro.sqlengine.transactions import MvccController, Transaction, UndoLog
 
@@ -96,15 +97,18 @@ class Executor:
 
     # -- planning ------------------------------------------------------------
 
-    def plan_select(self, statement: ast.SelectStatement) -> SelectPlan:
-        """Plan a SELECT statement (exposed for plan caching and EXPLAIN)."""
+    def plan(self, statement: ast.PlannedStatement) -> SelectPlan | DmlPlan:
+        """Plan a SELECT, UPDATE or DELETE (exposed for plan caching and
+        EXPLAIN)."""
         planner = Planner(
             self._catalog,
             self._tables,
             self._planner_options,
             metrics=self._columnar_metrics,
         )
-        return planner.plan_select(statement)
+        if isinstance(statement, ast.SelectStatement):
+            return planner.plan_select(statement)
+        return planner.plan_dml(statement)
 
     # -- execution -----------------------------------------------------------
 
@@ -112,11 +116,14 @@ class Executor:
         self,
         statement: ast.Statement,
         params: Sequence[object] = (),
-        plan: Optional[SelectPlan] = None,
+        plan: SelectPlan | DmlPlan | None = None,
         undo: Optional[UndoLog] = None,
         txn: Optional[Transaction] = None,
     ) -> StatementResult:
         """Execute ``statement`` with positional ``params``.
+
+        ``plan`` is the statement's cached plan (SELECT, UPDATE, DELETE and
+        EXPLAIN); without one the statement is planned here.
 
         ``txn``, when given, routes DML through the MVCC write path: rows
         are locked (first-updater-wins), inverse operations land in the
@@ -129,7 +136,7 @@ class Executor:
         if txn is not None:
             undo = txn.undo
         if isinstance(statement, ast.SelectStatement):
-            select_plan = plan if plan is not None else self.plan_select(statement)
+            select_plan = plan if plan is not None else self.plan(statement)
             rows = materialise(select_plan.root, params)
             return StatementResult(
                 columns=list(select_plan.column_names),
@@ -139,10 +146,9 @@ class Executor:
         if isinstance(statement, ast.ExplainStatement):
             if statement.analyze:
                 return self._execute_explain_analyze(statement, params)
-            select_plan = (
-                plan if plan is not None else self.plan_select(statement.statement)
-            )
-            lines = select_plan.explain().splitlines()
+            if plan is None:
+                plan = self.plan(statement.statement)
+            lines = plan.explain().splitlines()
             return StatementResult(
                 columns=["query plan"],
                 rows=[(line,) for line in lines],
@@ -151,9 +157,13 @@ class Executor:
         if isinstance(statement, ast.InsertStatement):
             return self._execute_insert(statement, params, undo, txn)
         if isinstance(statement, ast.UpdateStatement):
-            return self._execute_update(statement, params, undo, txn)
+            if plan is None:
+                plan = self.plan(statement)
+            return self._execute_update(plan, params, undo, txn)
         if isinstance(statement, ast.DeleteStatement):
-            return self._execute_delete(statement, params, undo, txn)
+            if plan is None:
+                plan = self.plan(statement)
+            return self._execute_delete(plan, params, undo, txn)
         if isinstance(statement, ast.CreateTableStatement):
             return self._execute_create_table(statement)
         if isinstance(statement, ast.CreateIndexStatement):
@@ -178,7 +188,7 @@ class Executor:
         plan shared through the statement cache), execute for real, and
         annotate every operator line with the rows it actually produced
         and its inclusive wall time."""
-        select_plan = self.plan_select(statement.statement)
+        select_plan = self.plan(statement.statement)
         stats = _instrument_plan(select_plan.root)
         started = time.perf_counter()
         rows = materialise(select_plan.root, params)
@@ -237,56 +247,27 @@ class Executor:
             count += 1
         return StatementResult(rowcount=count)
 
-    def _single_table_compiler(
-        self, schema: TableSchema, binding: str
-    ) -> ExpressionCompiler:
-        """A slot-mode compiler over one table's stored rows: column
-        references compile to positions in the stored tuple, so predicates
-        and assignments evaluate directly against storage without building a
-        per-row environment."""
-
-        def resolve(ref: ast.ColumnRef) -> int:
-            if ref.table is not None and ref.table.lower() != binding:
-                raise SqlCatalogError(f"unknown table alias {ref.table!r}")
-            return schema.column_index(ref.column)
-
-        return ExpressionCompiler(resolve)
-
     def _execute_update(
         self,
-        statement: ast.UpdateStatement,
+        plan: DmlPlan,
         params: Sequence[object],
         undo: Optional[UndoLog] = None,
         txn: Optional[Transaction] = None,
     ) -> StatementResult:
-        schema = self._catalog.table(statement.table)
-        data = self._tables[schema.name.lower()]
+        data = plan.data
+        schema = data.schema
         versioned = txn is not None and data._controller is not None
-        compiler = self._single_table_compiler(schema, statement.table.lower())
-        predicate = (
-            compiler.compile(statement.where) if statement.where is not None else None
-        )
-        assignments = [
-            (schema.column_index(column), compiler.compile(expression))
-            for column, expression in statement.assignments
-        ]
         updated = 0
-        # Materialise matching row ids first so index updates cannot affect
-        # the scan in progress.
-        matches: list[tuple[int, tuple[object, ...]]] = []
-        for row_id, row in data.scan():
-            if predicate is None or is_truthy(predicate(row, params)):
-                matches.append((row_id, row))
-        for row_id, row in matches:
+        for row_id, row in plan.matching_rows(params):
             if versioned:
                 # Lock first: a conflicting writer aborts us before any
                 # mutation; on success the matched row is re-read in case a
-                # commit landed between the scan and the lock (the lock's
+                # commit landed between the match and the lock (the lock's
                 # snapshot check ensures any such commit predates ours).
                 data.mvcc_lock_row(row_id, txn)
                 row = data._rows[row_id]
             new_row = list(row)
-            for position, evaluate in assignments:
+            for position, evaluate in plan.assignments:
                 new_row[position] = evaluate(row, params)
             coerced = schema.coerce_row(new_row)
             if versioned:
@@ -303,22 +284,14 @@ class Executor:
 
     def _execute_delete(
         self,
-        statement: ast.DeleteStatement,
+        plan: DmlPlan,
         params: Sequence[object],
         undo: Optional[UndoLog] = None,
         txn: Optional[Transaction] = None,
     ) -> StatementResult:
-        schema = self._catalog.table(statement.table)
-        data = self._tables[schema.name.lower()]
+        data = plan.data
         versioned = txn is not None and data._controller is not None
-        compiler = self._single_table_compiler(schema, statement.table.lower())
-        predicate = (
-            compiler.compile(statement.where) if statement.where is not None else None
-        )
-        to_delete: list[tuple[int, tuple[object, ...]]] = []
-        for row_id, row in data.scan():
-            if predicate is None or is_truthy(predicate(row, params)):
-                to_delete.append((row_id, row))
+        to_delete = plan.matching_rows(params)
         for row_id, row in to_delete:
             if versioned:
                 data.mvcc_lock_row(row_id, txn)

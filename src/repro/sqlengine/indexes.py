@@ -147,8 +147,13 @@ class OrderedIndex(Index):
                 return
 
     def lookup(self, key: Hashable) -> list[int]:
-        left = bisect.bisect_left(self._keys, key)  # type: ignore[arg-type]
-        right = bisect.bisect_right(self._keys, key)  # type: ignore[arg-type]
+        try:
+            left = bisect.bisect_left(self._keys, key)  # type: ignore[arg-type]
+            right = bisect.bisect_right(self._keys, key)  # type: ignore[arg-type]
+        except TypeError:
+            # A key that does not compare with the stored keys (``'5'``
+            # against integers) equals none of them, as a scan would find.
+            return []
         return self._row_ids[left:right]
 
     def range(

@@ -118,9 +118,9 @@ class IndexLookupScan(PlanOperator):
 
     def execute(self, params: Params) -> Iterator[Row]:
         index = self._table.indexes()[self._index_name]
-        empty_row: Row = ()
-        key_values = [evaluate(empty_row, params) for evaluate in self._key_evaluators]
-        key = key_values[0] if len(key_values) == 1 else tuple(key_values)
+        key = probe_key(self._key_evaluators, params)
+        if key is None:
+            return
         if self._offset == 0 and self._width == self._columns:
             for _, row in self._table.lookup_rows(index, key):
                 yield row
@@ -136,6 +136,34 @@ class IndexLookupScan(PlanOperator):
             f"IndexLookup({self._table.schema.name} AS {self._binding} "
             f"USING {self._index_name})"
         )
+
+
+def probe_key(key_evaluators: Sequence[Evaluator], params: Params) -> object:
+    """The index key that row-independent ``key_evaluators`` produce, in
+    index column order, or None when any part is NULL: ``column = NULL``
+    holds for no row, although the index files NULL columns under a key."""
+    empty_row: Row = ()
+    values = [evaluate(empty_row, params) for evaluate in key_evaluators]
+    if None in values:
+        return None
+    return values[0] if len(values) == 1 else tuple(values)
+
+
+class DmlTarget(PlanOperator):
+    """EXPLAIN's root for an UPDATE or DELETE: the table written, over the
+    access path that yields the rows written.  Describes a plan; the
+    executor runs the write itself."""
+
+    def __init__(self, kind: str, table: TableData, child: PlanOperator) -> None:
+        self._kind = kind
+        self._table = table
+        self._child = child
+
+    def children(self) -> Sequence[PlanOperator]:
+        return (self._child,)
+
+    def describe(self) -> str:
+        return f"{self._kind}({self._table.schema.name})"
 
 
 class Filter(PlanOperator):

@@ -72,9 +72,16 @@ class SqlParser:
                 self._advance()
                 analyze = True
             inner = self._parse_statement()
-            if not isinstance(inner, ast.SelectStatement):
+            if analyze and not isinstance(inner, ast.SelectStatement):
                 raise SqlParseError(
-                    "EXPLAIN supports only SELECT statements", token.position
+                    "EXPLAIN ANALYZE supports only SELECT statements "
+                    "(it executes the statement)",
+                    token.position,
+                )
+            if not isinstance(inner, ast.PlannedStatement):
+                raise SqlParseError(
+                    "EXPLAIN supports only SELECT, UPDATE and DELETE statements",
+                    token.position,
                 )
             return ast.ExplainStatement(statement=inner, analyze=analyze)
         if token.is_keyword("SELECT"):

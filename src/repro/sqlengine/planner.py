@@ -1,4 +1,5 @@
-"""Query planner: turns a parsed SELECT statement into an operator tree.
+"""Query planner: turns a parsed SELECT statement into an operator tree,
+and an UPDATE or DELETE into a :class:`DmlPlan` over the same access paths.
 
 The planner performs the optimisations a relational engine needs for the
 paper's workload:
@@ -23,9 +24,11 @@ slots, conjunct classes, validated outputs), *order* its joins once, then
 operators.  Both lowerings annotate from the same step estimates, so every
 operator carries the same estimated row count and cumulative cost in
 either mode; ``EXPLAIN`` (and :meth:`SelectPlan.explain`) print them per
-node.  Planner behaviour can be tuned via :class:`PlannerOptions`; the
-ablation benchmarks and the planner equivalence property tests exercise
-those switches.
+node.  ``UPDATE`` and ``DELETE`` are a third lowering of a single binding:
+the access path a SELECT with the same ``WHERE`` would use, chosen by the
+same selector (:meth:`Planner._estimate_access`).  Planner behaviour can
+be tuned via :class:`PlannerOptions`; the ablation benchmarks and the
+planner equivalence property tests exercise those switches.
 """
 
 from __future__ import annotations
@@ -52,13 +55,17 @@ from repro.sqlengine.errors import SqlCatalogError, SqlExecutionError
 from repro.sqlengine.expressions import (
     Evaluator,
     ExpressionCompiler,
+    Params,
+    Row,
     collect_column_refs,
+    is_truthy,
     split_conjuncts,
 )
 from repro.sqlengine.indexes import Index
 from repro.sqlengine.operators import (
     Aggregate,
     Distinct,
+    DmlTarget,
     Filter,
     HashJoin,
     IndexLookupScan,
@@ -70,6 +77,7 @@ from repro.sqlengine.operators import (
     Project,
     SeqScan,
     Sort,
+    probe_key,
 )
 from repro.sqlengine.storage import TableData
 
@@ -150,6 +158,56 @@ class SelectPlan:
         else:
             header = "mode=row"
         return header + "\n" + self.root.explain(annotate=annotate)
+
+
+@dataclass
+class DmlPlan:
+    """A planned UPDATE or DELETE of one table.
+
+    ``index`` is the index the selector chose, probed with the key that
+    ``key_evaluators`` produce (in index column order); None means the plan
+    falls back to a scan.  ``residual`` holds the conjuncts the probe does
+    not answer, ``assignments`` the ``(column position, value)`` pairs of
+    an UPDATE.  Everything is compiled against the stored-tuple layout, so
+    the executor evaluates it on storage rows directly.
+    """
+
+    data: TableData
+    index: Optional[Index]
+    key_evaluators: list[Evaluator]
+    residual: Optional[Evaluator]
+    assignments: list[tuple[int, Evaluator]]
+    #: ``Update``/``Delete`` over the row lowering's access path (EXPLAIN).
+    root: PlanOperator
+    stats_snapshot: dict[str, int] = field(default_factory=dict)
+    #: DML always lowers to row operators.
+    mode = "row"
+
+    def matching_rows(self, params: Params) -> list[tuple[int, Row]]:
+        """The ``(row id, row)`` pairs the statement writes, resolved
+        against the caller's snapshot and materialised before the first
+        write, so index maintenance cannot disturb the probe or scan."""
+        data = self.data
+        if self.index is None:
+            candidates = data.scan()
+        else:
+            key = probe_key(self.key_evaluators, params)
+            if key is None:
+                return []
+            candidates = data.lookup_rows(self.index, key)
+        residual = self.residual
+        if residual is None:
+            return list(candidates)
+        return [
+            (row_id, row)
+            for row_id, row in candidates
+            if is_truthy(residual(row, params))
+        ]
+
+    def explain(self) -> str:
+        """``mode=row``, the written table, then the access path with the
+        same per-node estimates the row lowering prints for a SELECT."""
+        return "mode=row\n" + self.root.explain()
 
 
 @dataclass
@@ -241,7 +299,8 @@ class _Query:
 
 
 class Planner:
-    """Plans SELECT statements against a catalog and its table data."""
+    """Plans SELECT, UPDATE and DELETE statements against a catalog and its
+    table data."""
 
     def __init__(
         self,
@@ -279,6 +338,49 @@ class Planner:
             stats_snapshot=snapshot,
             mode="batch" if batch else "row",
             batch_size=self._options.batch_size if batch else None,
+        )
+
+    def plan_dml(
+        self, statement: ast.UpdateStatement | ast.DeleteStatement
+    ) -> DmlPlan:
+        """Plan an UPDATE or DELETE: one binding for the target table
+        carrying every ``WHERE`` conjunct, the access path SELECT would
+        choose for it, and the conjuncts that path leaves as the residual."""
+        schema = self._catalog.table(statement.table)
+        data = self._tables[schema.name.lower()]
+        binding = _Binding(
+            name=statement.table.lower(),
+            schema=schema,
+            data=data,
+            conjuncts=split_conjuncts(statement.where),
+        )
+        bindings = {binding.name: binding}
+        slot_map, width = self._assign_slots(bindings)
+        compiler = ExpressionCompiler(self._make_resolver(bindings, slot_map))
+        access = self._estimate_access(binding)
+        remaining = [c for c in binding.conjuncts if c not in access.consumed]
+        residual = compiler.compile(_conjoin(remaining)) if remaining else None
+        assignments: list[tuple[int, Evaluator]] = []
+        if isinstance(statement, ast.UpdateStatement):
+            kind = "Update"
+            assignments = [
+                (schema.column_index(column), compiler.compile(expression))
+                for column, expression in statement.assignments
+            ]
+        else:
+            kind = "Delete"
+        chain = self._plan_scan(binding, compiler, width)
+        root = self._annotated(
+            DmlTarget(kind, data, chain), chain.estimated_rows, chain.estimated_cost
+        )
+        return DmlPlan(
+            data=data,
+            index=access.index,
+            key_evaluators=self._key_evaluators(access, compiler),
+            residual=residual,
+            assignments=assignments,
+            root=root,
+            stats_snapshot={schema.name.lower(): len(data)},
         )
 
     # -- decomposition ---------------------------------------------------------
@@ -459,8 +561,9 @@ class Planner:
         return None
 
     def _estimate_access(self, binding: _Binding) -> _AccessEstimate:
-        """Estimate the access path :meth:`_plan_scan` would build
-        (memoised on the binding for the current planning pass)."""
+        """Choose and estimate a binding's access path: the one selector
+        behind SELECT scans and DML alike (memoised on the binding for the
+        current planning pass)."""
         if binding.access_estimate is not None:
             return binding.access_estimate
         rows = float(len(binding.data))
@@ -578,17 +681,13 @@ class Planner:
         access = self._estimate_access(binding)
         scan: PlanOperator
         if access.index is not None:
-            key_evaluators = [
-                compiler.compile(access.equalities[column.lower()][1])
-                for column in access.index.columns
-            ]
             scan = IndexLookupScan(
                 binding.data,
                 binding.name,
                 width,
                 binding.slot_start,
                 access.index.name,
-                key_evaluators,
+                self._key_evaluators(access, compiler),
             )
         else:
             scan = SeqScan(binding.data, binding.name, width, binding.slot_start)
@@ -601,6 +700,19 @@ class Planner:
             Filter,
             compiler,
         )
+
+    @staticmethod
+    def _key_evaluators(
+        access: _AccessEstimate, compiler: ExpressionCompiler
+    ) -> list[Evaluator]:
+        """The chosen index's probe key, one evaluator per index column in
+        index order (empty when the access path is a scan)."""
+        if access.index is None:
+            return []
+        return [
+            compiler.compile(access.equalities[column.lower()][1])
+            for column in access.index.columns
+        ]
 
     def _filter_chain(
         self,
@@ -969,11 +1081,11 @@ class Planner:
             return HashJoin(
                 left, right, probe_evaluators, build_evaluators, binding.slot_range
             )
-        predicate, *rest = candidate.conjuncts
-        for equality in rest:
-            predicate = ast.BinaryOp("AND", predicate, equality)
         return NestedLoopJoin(
-            left, right, binding.slot_range, compiler.compile(predicate)
+            left,
+            right,
+            binding.slot_range,
+            compiler.compile(_conjoin(candidate.conjuncts)),
         )
 
     def _lower_batch(
@@ -1243,6 +1355,14 @@ class Planner:
         if all(slot is not None for slot in slots):
             return columns, [slot for slot in slots if slot is not None]
         return columns, None
+
+
+def _conjoin(conjuncts: list[ast.Expression]) -> ast.Expression:
+    """AND a non-empty list of conjuncts back into one expression."""
+    predicate, *rest = conjuncts
+    for conjunct in rest:
+        predicate = ast.BinaryOp("AND", predicate, conjunct)
+    return predicate
 
 
 def _split_disjuncts(expression: ast.Expression) -> list[ast.Expression]:

@@ -217,6 +217,20 @@ class TestStatementsAndCursors:
         )
         client.close()
 
+    def test_explain_dml_over_the_wire(self, server) -> None:
+        client = WireClient(*server.address)
+        sql = "UPDATE item SET i_title = ? WHERE i_id = ?"
+        plan = client.explain(sql)
+        assert plan == server.database.explain(sql)
+        assert plan.splitlines()[1:] == [
+            "Update(item)  (rows=1.0, cost=1.0)",
+            "  IndexLookup(item AS item USING pk_item)  (rows=1.0, cost=1.0)",
+        ]
+        assert client.explain("EXPLAIN DELETE FROM item WHERE i_id = 7") == (
+            server.database.explain("DELETE FROM item WHERE i_id = 7")
+        )
+        client.close()
+
 
 class TestTransactionsOverTheWire:
     def test_explicit_transaction_commit(self, server) -> None:

@@ -101,6 +101,18 @@ class TestSelect:
         )
         assert len(result.columns) == 5
 
+    def test_null_key_matches_no_row_through_an_index(self, db: Database) -> None:
+        # The index files NULL columns under a key, but `col = NULL` is
+        # never true: the probe must agree with the scan.
+        db.execute("CREATE INDEX idx_addr ON customer (c_addr_id)")
+        db.execute("UPDATE customer SET c_addr_id = NULL WHERE c_id = 100")
+        sql = "SELECT c_id FROM customer WHERE c_addr_id = ?"
+        assert "USING idx_addr" in db.explain(sql)
+        assert db.execute(sql, (None,)).rows == []
+        assert db.execute(
+            "SELECT c_id FROM customer WHERE c_addr_id IS NULL"
+        ).rows == [(100,)]
+
     def test_unknown_column_raises(self, db: Database) -> None:
         with pytest.raises(SqlCatalogError):
             db.execute("SELECT nonexistent FROM customer")
@@ -138,6 +150,26 @@ class TestDml:
     def test_delete(self, db: Database) -> None:
         db.execute("DELETE FROM customer WHERE c_id = 103")
         assert db.row_count("customer") == 3
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "UPDATE customer SET nope = 1 WHERE c_id = 100",
+            "UPDATE customer SET c_fname = 'x' WHERE nope = 1",
+            "DELETE FROM customer WHERE other.c_id = 100",
+        ],
+    )
+    def test_dml_with_unknown_column_raises(self, db: Database, sql: str) -> None:
+        with pytest.raises(SqlCatalogError):
+            db.execute(sql)
+        assert db.row_count("customer") == 4
+
+    def test_ordered_index_probe_with_an_incomparable_key(self, db: Database) -> None:
+        db.create_index("customer", ["c_addr_id"], name="idx_addr", ordered=True)
+        sql = "UPDATE customer SET c_fname = 'x' WHERE c_addr_id = ?"
+        assert "USING idx_addr" in db.explain(sql)
+        assert db.execute(sql, ("10",)).rowcount == 0
+        assert db.execute(sql, (10.0,)).rowcount == 1
 
     def test_primary_key_violation_via_sql(self, db: Database) -> None:
         with pytest.raises(SqlExecutionError):

@@ -53,6 +53,40 @@ class TestExplainStatement:
         with pytest.raises(SqlParseError):
             db.execute("EXPLAIN INSERT INTO item (i_id) VALUES (99)")
 
+    def test_explain_update_and_delete_plan_without_writing(
+        self, db: Database
+    ) -> None:
+        update = db.execute("EXPLAIN UPDATE item SET i_cost = 0 WHERE i_id = 3")
+        delete = db.execute("EXPLAIN DELETE FROM item WHERE i_subject = ?")
+        assert [row[0] for row in update.rows][:3] == [
+            "mode=row",
+            "Update(item)  (rows=1.0, cost=1.0)",
+            "  IndexLookup(item AS item USING pk_item)  (rows=1.0, cost=1.0)",
+        ]
+        assert [row[0].split("  (")[0] for row in delete.rows] == [
+            "mode=row",
+            "Delete(item)",
+            "  Filter(item)",
+            "    SeqScan(item AS item)",
+        ]
+        assert db.execute("SELECT i_cost FROM item WHERE i_id = 3").rows == [(30,)]
+        assert db.row_count("item") == 10
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "EXPLAIN ANALYZE UPDATE item SET i_cost = 0 WHERE i_id = 3",
+            "EXPLAIN ANALYZE DELETE FROM item WHERE i_id = 3",
+        ],
+    )
+    def test_explain_analyze_of_a_write_is_a_parse_error(
+        self, db: Database, sql: str
+    ) -> None:
+        # ANALYZE executes the statement, so on DML it would write.
+        with pytest.raises(SqlParseError, match="ANALYZE"):
+            db.execute(sql)
+        assert db.execute("SELECT i_cost FROM item WHERE i_id = 3").rows == [(30,)]
+
     def test_explain_through_dbapi_statement(self, db: Database) -> None:
         connection = connect(db)
         result = connection.create_statement().execute(

@@ -1,5 +1,6 @@
 """Golden EXPLAIN output for the star-schema join shapes of the
-``analytics_scan`` workload, in both execution modes.
+``analytics_scan`` workload, in both execution modes, and for the point
+writes of ``sql_remote_order`` and ``analytics_scan``.
 
 The equivalence tests only compare root cardinalities across modes; these
 pin the full plan — join order, physical operators, pushdown and every
@@ -78,6 +79,35 @@ BatchOutput(id, region)  (rows=1.0, cost=42.0)
 }
 
 
+#: DML always lowers to row operators: the access path is the one the row
+#: lowering prints for a SELECT with the same WHERE clause.
+DML_QUERIES = {
+    "transfer": (
+        "UPDATE item SET i_stock = i_stock - ? WHERE i_id = ? AND i_stock >= ?"
+    ),
+    "point_update": "UPDATE fact SET note = ? WHERE id = ?",
+    "scan_delete": "DELETE FROM fact WHERE note = ? AND qty < ?",
+}
+
+DML_GOLDEN = {
+    "transfer": """\
+mode=row
+Update(item)  (rows=0.3, cost=1.0)
+  Filter(item)  (rows=0.3, cost=1.0)
+    IndexLookup(item AS item USING pk_item)  (rows=1.0, cost=1.0)""",
+    "point_update": """\
+mode=row
+Update(fact)  (rows=1.0, cost=1.0)
+  IndexLookup(fact AS fact USING pk_fact)  (rows=1.0, cost=1.0)""",
+    "scan_delete": """\
+mode=row
+Delete(fact)  (rows=20.0, cost=600.0)
+  Filter(fact)  (rows=20.0, cost=600.0)
+    Filter(fact)  (rows=60.0, cost=600.0)
+      SeqScan(fact AS fact)  (rows=600.0, cost=600.0)""",
+}
+
+
 @pytest.fixture(scope="module")
 def star() -> Database:
     database = Database()
@@ -87,6 +117,8 @@ def star() -> Database:
                            value INTEGER, qty INTEGER, note INTEGER);
         CREATE TABLE dim_a (a_id INTEGER PRIMARY KEY, tag INTEGER, region VARCHAR(10));
         CREATE TABLE dim_b (b_id INTEGER PRIMARY KEY, grp INTEGER, a_ref INTEGER);
+        CREATE TABLE item (i_id INTEGER PRIMARY KEY, i_title VARCHAR(20),
+                           i_stock INTEGER);
         """
     )
     database.insert_rows(
@@ -98,6 +130,7 @@ def star() -> Database:
     )
     database.insert_rows("dim_a", [(a, a % 7, f"r{a % 5}") for a in range(20)])
     database.insert_rows("dim_b", [(b, b % 20, b % 20) for b in range(100)])
+    database.insert_rows("item", [(i, f"title{i}", 100) for i in range(1, 51)])
     return database
 
 
@@ -113,3 +146,14 @@ def test_auto_mode_picks_the_batch_plan_for_star_joins(star: Database) -> None:
     star.set_planner_options(PlannerOptions())
     for query in ("join2", "join3"):
         assert star.explain(QUERIES[query]) == GOLDEN[("batch", query)]
+
+
+@pytest.mark.parametrize("mode", ["auto", "row", "batch"])
+@pytest.mark.parametrize("query", list(DML_GOLDEN))
+def test_dml_explain_matches_golden(star: Database, query: str, mode: str) -> None:
+    star.set_planner_options(PlannerOptions(execution_mode=mode))
+    sql = DML_QUERIES[query]
+    assert star.explain(sql) == DML_GOLDEN[query]
+    # The EXPLAIN statement renders the same plan as Database.explain.
+    rows = star.execute("EXPLAIN " + sql).rows
+    assert "\n".join(row[0] for row in rows) == DML_GOLDEN[query]

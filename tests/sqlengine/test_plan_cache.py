@@ -159,3 +159,73 @@ class TestCrossLayerReuse:
         after = db.statement_cache_info()
         assert after["hits"] >= info["hits"] + 3
         assert after["plans_computed"] == info["plans_computed"]
+
+
+class TestDmlPlans:
+    """UPDATE and DELETE plans live in the same cache as SELECT plans."""
+
+    def test_reexecuted_update_reuses_its_cached_plan(self, db: Database) -> None:
+        sql = "UPDATE item SET i_cost = i_cost + ? WHERE i_id = ?"
+        db.execute(sql, (1, 1))
+        plans_before = db.statement_cache_info()["plans_computed"]
+        for item_id in (2, 3, 4):
+            assert db.execute(sql, (1, item_id)).rowcount == 1
+        assert db.statement_cache_info()["plans_computed"] == plans_before
+        assert db.execute("SELECT i_cost FROM item WHERE i_id = 4").rows == [(41,)]
+
+    def test_create_index_switches_update_to_an_index_lookup(
+        self, db: Database
+    ) -> None:
+        sql = "UPDATE item SET i_cost = ? WHERE i_subject = ?"
+        db.execute(sql, (0, "subject1"))
+        assert "SeqScan(item AS item)" in db.explain(f"EXPLAIN {sql}")
+        db.execute("CREATE INDEX idx_subject ON item (i_subject)")
+        plan = db.explain(f"EXPLAIN {sql}")
+        assert "IndexLookup(item AS item USING idx_subject)" in plan
+        assert "SeqScan" not in plan
+        assert db.execute(sql, (7, "subject2")).rowcount == 8
+
+    def test_use_indexes_false_keeps_dml_on_a_scan(self, db: Database) -> None:
+        db.set_planner_options(PlannerOptions(use_indexes=False))
+        for sql in (
+            "UPDATE item SET i_cost = ? WHERE i_id = ?",
+            "DELETE FROM item WHERE i_id = ?",
+        ):
+            plan = db.explain(sql)
+            assert "SeqScan(item AS item)" in plan and "IndexLookup" not in plan
+        assert db.execute("DELETE FROM item WHERE i_id = ?", (3,)).rowcount == 1
+
+    def test_reopened_durable_database_explains_update_identically(
+        self, tmp_path
+    ) -> None:
+        from repro.sqlengine.durability import DurabilityOptions
+
+        def open_db() -> Database:
+            return Database(
+                data_dir=str(tmp_path), durability=DurabilityOptions(fsync="off")
+            )
+
+        database = open_db()
+        database.executescript(
+            """
+            CREATE TABLE item (i_id INTEGER PRIMARY KEY, i_subject VARCHAR(20),
+                               i_stock INTEGER);
+            CREATE INDEX idx_subject ON item (i_subject);
+            """
+        )
+        database.execute_many(
+            "INSERT INTO item (i_id, i_subject, i_stock) VALUES (?, ?, ?)",
+            [(i, f"subject{i % 5}", 100) for i in range(1, 41)],
+        )
+        database.execute("DELETE FROM item WHERE i_subject = ?", ("subject4",))
+        sqls = [
+            "EXPLAIN UPDATE item SET i_stock = i_stock - ? "
+            "WHERE i_id = ? AND i_stock >= ?",
+            "EXPLAIN UPDATE item SET i_stock = 0 WHERE i_subject = ?",
+            "EXPLAIN DELETE FROM item WHERE i_stock < ?",
+        ]
+        before = [database.explain(sql) for sql in sqls]
+        database.close()
+        recovered = open_db()
+        assert [recovered.explain(sql) for sql in sqls] == before
+        recovered.close()
