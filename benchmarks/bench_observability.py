@@ -2,7 +2,7 @@
 
 The contract the engine makes (ROADMAP: observability) is that a node with
 tracing and the slow-query log disabled pays only one gate check per
-statement — ``trace is None and not database._observed`` — before falling
+statement — ``trace is None and not session._obs.active`` — before falling
 into the exact pre-observability code path.  This benchmark pins that
 promise to a number: it times the same point-query workload four ways and
 reports each variant's throughput relative to the ungated baseline.

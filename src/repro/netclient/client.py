@@ -29,7 +29,8 @@ from collections import OrderedDict
 from typing import Optional, Sequence
 
 from repro.errors import SqlError
-from repro.obs.trace import TraceBuffer, TraceContext, TracingOptions, new_root_context
+from repro.obs.observer import NodeObserver
+from repro.obs.trace import TraceContext, TracingOptions
 from repro.server import protocol
 from repro.sqlengine.engine import build_column_map
 from repro.sqlengine.errors import SqlExecutionError
@@ -412,21 +413,16 @@ class RemoteSession:
         autocommit: bool = True,
         pool=None,
         batch_rows: int = DEFAULT_BATCH_ROWS,
-        tracing: Optional[TracingOptions] = None,
-        trace_buffer: Optional[TraceBuffer] = None,
-        node: str = "client",
+        observer: Optional[NodeObserver] = None,
     ) -> None:
         self._client = client
         self._pool = pool
         self.batch_rows = batch_rows
         self._closed = False
-        #: Client-edge tracing: with ``tracing.enabled`` this session
+        #: Client-edge tracing: while ``observer.active`` this session
         #: starts root spans for sampled statements and propagates the
-        #: context on the wire; spans land in ``trace_buffer``.
-        self._tracing = tracing
-        self._trace_buffer = trace_buffer
-        self._node = node
-        self._trace_counter = 0
+        #: context on the wire.
+        self._obs = observer
         #: Server-side cursor ids of results not yet drained; closed with
         #: the session so abandoned result sets do not pile up server-side.
         self._open_cursors: set[int] = set()
@@ -466,40 +462,24 @@ class RemoteSession:
 
         An explicit inbound ``trace`` (a coordinator fanning out) is
         forwarded verbatim — the remote node records the span.  Otherwise,
-        when this session's :class:`TracingOptions` sample the statement,
-        a fresh root trace starts here: a ``client`` span wraps the round
-        trip and the propagated context makes the server's span its child.
+        when the node's observer samples the statement, a fresh root trace
+        starts here: a ``client`` span wraps the round trip and the
+        propagated context makes the server's span its child.
         """
         self._check_open()
-        if trace is not None:
-            return RemoteResult(
-                self,
-                self._client.execute(sql, params, self.batch_rows, trace),
-                trace=trace,
-            )
-        tracing = self._tracing
-        if tracing is None or not tracing.enabled:
-            return RemoteResult(self, self._client.execute(sql, params, self.batch_rows))
-        return self._execute_traced(sql, params)
+        obs = self._obs
+        if trace is None and obs is not None and obs.active:
+            return obs.edge(sql, lambda context: self._execute(sql, params, context))
+        return self._execute(sql, params, trace)
 
-    def _execute_traced(self, sql: str, params: Sequence[object]) -> RemoteResult:
-        self._trace_counter += 1
-        if not self._tracing.samples(self._trace_counter) or self._trace_buffer is None:
-            return RemoteResult(self, self._client.execute(sql, params, self.batch_rows))
-        span = self._trace_buffer.start_span(new_root_context(), "client", self._node)
-        span.tag(sql=sql)
-        t0 = time.perf_counter()
-        try:
-            message = self._client.execute(
-                sql, params, self.batch_rows, span.context
-            )
-        except Exception as error:
-            span.finish(error)
-            raise
-        span.phase("request", time.perf_counter() - t0)
-        span.tag(rows=message.rowcount)
-        span.finish()
-        return RemoteResult(self, message, trace=span.context)
+    def _execute(
+        self, sql: str, params: Sequence[object], trace: Optional[TraceContext]
+    ) -> RemoteResult:
+        return RemoteResult(
+            self,
+            self._client.execute(sql, params, self.batch_rows, trace),
+            trace=trace,
+        )
 
     def prepare(self, sql: str) -> int:
         """The server-side prepared-statement id for ``sql``.
@@ -694,10 +674,8 @@ class RemoteDatabase:
         self.timeout = timeout
         self.client_name = client_name
         #: Client-edge tracing: sessions start root traces when enabled,
-        #: and their ``client`` spans land in this shared buffer.
-        self.tracing = TracingOptions() if tracing is None else tracing
-        self.trace_buffer = TraceBuffer(self.tracing.buffer_size)
-        self.node_name = node_name
+        #: and their ``client`` spans land in this one observer's buffer.
+        self.obs = NodeObserver(node_name, tracing=tracing)
 
     def session(self, autocommit: bool = True) -> RemoteSession:
         """Open a remote session (pooled when a pool was configured)."""
@@ -705,9 +683,7 @@ class RemoteDatabase:
             return self.pool.session(
                 autocommit=autocommit,
                 batch_rows=self.batch_rows,
-                tracing=self.tracing,
-                trace_buffer=self.trace_buffer,
-                node=self.node_name,
+                observer=self.obs,
             )
         client = WireClient(
             self.host, self.port, timeout=self.timeout, client_name=self.client_name
@@ -716,9 +692,7 @@ class RemoteDatabase:
             client,
             autocommit=autocommit,
             batch_rows=self.batch_rows,
-            tracing=self.tracing,
-            trace_buffer=self.trace_buffer,
-            node=self.node_name,
+            observer=self.obs,
         )
 
     def connect(self, auto_commit: bool = True):
@@ -738,7 +712,7 @@ class RemoteDatabase:
     def traces(self, trace_id: Optional[str] = None) -> list[dict]:
         """Client-side spans merged with the server's buffered spans —
         the assembled trace for a single-server deployment."""
-        spans = self.trace_buffer.spans(trace_id)
+        spans = self.obs.trace_buffer.spans(trace_id)
         session = self.session()
         try:
             spans.extend(session.traces(trace_id)["spans"])

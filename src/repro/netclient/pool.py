@@ -34,7 +34,7 @@ from repro.netclient.client import (
     RemoteSession,
     WireClient,
 )
-from repro.obs.trace import new_root_context
+from repro.obs.observer import NodeObserver
 from repro.sqlengine.errors import SqlExecutionError
 
 
@@ -220,9 +220,7 @@ class ConnectionPool:
         self,
         autocommit: bool = True,
         batch_rows: Optional[int] = None,
-        tracing=None,
-        trace_buffer=None,
-        node: str = "client",
+        observer: Optional[NodeObserver] = None,
     ) -> RemoteSession:
         """Check out a connection wrapped as a :class:`RemoteSession`;
         closing the session returns the connection to this pool."""
@@ -233,9 +231,7 @@ class ConnectionPool:
                 autocommit=autocommit,
                 pool=self,
                 batch_rows=self.batch_rows if batch_rows is None else batch_rows,
-                tracing=tracing,
-                trace_buffer=trace_buffer,
-                node=node,
+                observer=observer,
             )
         except BaseException:
             self.release(client)
@@ -427,23 +423,17 @@ class RoutedSession:
         autocommit: bool = True,
         batch_rows: Optional[int] = None,
         read_only: bool = False,
-        tracing=None,
-        trace_buffer=None,
-        node: str = "client",
+        observer: Optional[NodeObserver] = None,
     ) -> None:
         self._routed = pool
         self._autocommit = autocommit
         self._read_only = read_only
         self.batch_rows = pool.batch_rows if batch_rows is None else batch_rows
         self._closed = False
-        #: Client-edge tracing (see RemoteSession): enabled options start
-        #: root spans for sampled statements; ``_stmt_trace`` holds the
-        #: context of the statement currently being routed so the
+        #: Client-edge tracing (see RemoteSession); ``_stmt_trace`` holds
+        #: the context of the statement currently being routed so the
         #: read-your-writes barrier can record its wait against it.
-        self._tracing = tracing
-        self._trace_buffer = trace_buffer
-        self._node = node
-        self._trace_counter = 0
+        self._obs = observer
         self._stmt_trace = None
         self._primary: Optional[RemoteSession] = None
         #: Pool generation the pinned primary session was checked out
@@ -493,33 +483,19 @@ class RoutedSession:
 
     def execute(self, sql: str, params=(), *, trace=None):
         self._check_open()
-        span = None
-        if trace is None and self._tracing is not None and self._tracing.enabled:
-            self._trace_counter += 1
-            if self._tracing.samples(self._trace_counter) and self._trace_buffer is not None:
-                span = self._trace_buffer.start_span(
-                    new_root_context(), "client", self._node
-                )
-                span.tag(sql=sql)
-                trace = span.context
-        self._stmt_trace = trace
-        try:
-            result = self._execute_routed(sql, params, trace)
-        except Exception as error:
-            if span is not None:
-                span.finish(error)
-            raise
-        finally:
-            self._stmt_trace = None
-        if span is not None:
-            span.tag(rows=result.rowcount)
-            span.finish()
-        return result
+        obs = self._obs
+        if trace is None and obs is not None and obs.active:
+            return obs.edge(sql, lambda context: self._execute_routed(sql, params, context))
+        return self._execute_routed(sql, params, trace)
 
     def _execute_routed(self, sql: str, params, trace):
         pool = self._routed
         if self._read_only or self._routes_to_replica(sql):
-            return self._with_replica(lambda s: s.execute(sql, params, trace=trace))
+            self._stmt_trace = trace
+            try:
+                return self._with_replica(lambda s: s.execute(sql, params, trace=trace))
+            finally:
+                self._stmt_trace = None
         write = not _read_only_sql(sql)
         retryable = write and not self.in_transaction and pool.retry_writes_on_failover
         result = self._with_primary(
@@ -819,24 +795,20 @@ class RoutedSession:
         if client.last_lsn >= target:
             return
         pool._count("read_your_writes_waits")
-        span = None
-        trace = self._stmt_trace
-        if trace is not None and trace.sampled and self._trace_buffer is not None:
-            span = self._trace_buffer.start_span(trace, "wait_lsn", self._node)
-        t0 = time.perf_counter()
+
+        def wait():
+            return client.wait_lsn(target, pool.read_your_writes_timeout)
+
         try:
-            reached = client.wait_lsn(target, pool.read_your_writes_timeout)
+            if self._obs is None:
+                reached = wait()
+            else:
+                reached = self._obs.call(self._stmt_trace, "wait_lsn", wait)
         except SqlError as error:
-            if span is not None:
-                span.phase("wait_lsn", time.perf_counter() - t0)
-                span.finish(error)
             if client.closed:
                 raise  # transport death, not a lag timeout
             pool._count("watermark_wait_timeouts")
             raise _LagTimeout() from error
-        if span is not None:
-            span.phase("wait_lsn", time.perf_counter() - t0)
-            span.finish()
         if reached < target:
             pool._count("watermark_wait_timeouts")
             raise _LagTimeout()
@@ -950,9 +922,7 @@ class ReplicatedConnectionPool:
         autocommit: bool = True,
         batch_rows: Optional[int] = None,
         read_only: bool = False,
-        tracing=None,
-        trace_buffer=None,
-        node: str = "client",
+        observer: Optional[NodeObserver] = None,
     ) -> RoutedSession:
         """A routed session; ``read_only=True`` pins every statement —
         explicit transactions included — to one replica."""
@@ -964,9 +934,7 @@ class ReplicatedConnectionPool:
             autocommit=autocommit,
             batch_rows=batch_rows,
             read_only=read_only,
-            tracing=tracing,
-            trace_buffer=trace_buffer,
-            node=node,
+            observer=observer,
         )
 
     def connection(self, auto_commit: bool = True, read_only: bool = False):

@@ -11,6 +11,9 @@ verbs, ``serve.py --metrics-port``) reads back out of them.
 * :mod:`repro.obs.trace` — TraceContext on the wire, Span records in a
   bounded TraceBuffer, TracingOptions with a zero-cost disabled path.
 * :mod:`repro.obs.slowlog` — structured JSON-lines slow-query log.
+* :mod:`repro.obs.observer` — NodeObserver: one per node, the only code
+  that samples, opens statement spans, times statements and writes the
+  slow log.
 """
 
 from repro.obs.metrics import (
@@ -20,6 +23,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     start_metrics_http_server,
 )
+from repro.obs.observer import NodeObserver
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace import (
     ActiveSpan,
@@ -39,6 +43,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "NodeObserver",
     "SlowQueryLog",
     "Span",
     "TraceBuffer",

@@ -200,6 +200,12 @@ class ActiveSpan:
             self.span.error = f"{type(error).__name__}: {error}"
         self._buffer.append(self.span)
 
+    def __enter__(self) -> "ActiveSpan":
+        return self
+
+    def __exit__(self, exc_type, error, tb) -> None:
+        self.finish(error)
+
 
 class TraceBuffer:
     """A bounded ring of finished spans, newest evicting oldest."""

@@ -96,7 +96,7 @@ def _run_primary(args: argparse.Namespace) -> int:
         replication_chunk_bytes=args.chunk_bytes,
     ).start()
     _announce(server.address)
-    metrics = _maybe_metrics(args, database.render_metrics)
+    metrics = _maybe_metrics(args, database.metrics.render_prometheus)
     _serve_forever()
     if metrics is not None:
         metrics.shutdown()
@@ -128,7 +128,7 @@ def _run_tpcw_primary(args: argparse.Namespace) -> int:
         replication_chunk_bytes=args.chunk_bytes,
     ).start()
     _announce(server.address)
-    metrics = _maybe_metrics(args, tpcw.database.render_metrics)
+    metrics = _maybe_metrics(args, tpcw.database.metrics.render_prometheus)
     _serve_forever()
     if metrics is not None:
         metrics.shutdown()
@@ -148,7 +148,7 @@ def _run_replica(args: argparse.Namespace) -> int:
         max_connections=args.max_connections,
     ).start()
     _announce(replica.address)
-    metrics = _maybe_metrics(args, replica.database.render_metrics)
+    metrics = _maybe_metrics(args, replica.database.metrics.render_prometheus)
     _serve_forever()
     if metrics is not None:
         metrics.shutdown()
@@ -199,7 +199,7 @@ def _run_coordinator(args: argparse.Namespace) -> int:
         max_connections=args.max_connections,
     ).start()
     _announce(server.address)
-    metrics = _maybe_metrics(args, coordinator.render_metrics)
+    metrics = _maybe_metrics(args, coordinator.metrics.render_prometheus)
     _serve_forever()
     if metrics is not None:
         metrics.shutdown()

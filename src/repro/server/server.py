@@ -40,7 +40,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.server import protocol
 from repro.sqlengine.durability import DurabilityOptions
 from repro.sqlengine.durability.snapshot import SNAPSHOT_NAME, snapshot_epoch
-from repro.sqlengine.engine import Database, ResultSet, Session
+from repro.session import SqlSession
+from repro.sqlengine.engine import Database, ResultSet
 from repro.sqlengine.errors import ReadOnlyError, SqlExecutionError
 
 
@@ -48,8 +49,8 @@ class ServerStats:
     """Thread-safe per-server counters, surfaced via SERVER_STATS.
 
     Backed by the engine's shared :class:`MetricsRegistry`, so the same
-    numbers appear in the SERVER_STATS document, ``Database.render_metrics``
-    and a Prometheus scrape.  ``connections_active`` and
+    numbers appear in the SERVER_STATS document, the METRICS verb and a
+    Prometheus scrape.  ``connections_active`` and
     ``replication_streams`` are gauges (they take negative deltas); the
     rest are monotonic counters.
     """
@@ -115,7 +116,7 @@ class _ClientHandler(threading.Thread):
         super().__init__(name=f"sql-server-client-{peer}", daemon=True)
         self._server = server
         self._sock = sock
-        self._session: Optional[Session] = None
+        self._session: Optional[SqlSession] = None
         self._cursors: dict[int, _Cursor] = {}
         self._statements: dict[int, str] = {}
         self._next_cursor_id = 1
@@ -253,33 +254,6 @@ class _ClientHandler(threading.Thread):
         finally:
             self._server._request_latency.observe(time.perf_counter() - t0)
 
-    def _start_span(self, message: protocol.ClientMessage, name: str):
-        """An :class:`ActiveSpan` for a request carrying a sampled trace
-        context, or ``None`` (the common case: no per-request cost)."""
-        trace = message.trace
-        if trace is None or not trace.sampled:
-            return None
-        database = self._server.database
-        return database.trace_buffer.start_span(trace, name, node=database.node_name)
-
-    def _traced_call(self, message: protocol.ClientMessage, name: str, call):
-        """Run ``call`` under a span when the request is traced; the call's
-        wall time becomes a phase of the same name."""
-        span = self._start_span(message, name)
-        if span is None:
-            return call()
-        if message.gid:
-            span.tag(gid=message.gid)
-        t0 = time.perf_counter()
-        try:
-            result = call()
-        except Exception as error:
-            span.finish(error)
-            raise
-        span.phase(name, time.perf_counter() - t0)
-        span.finish()
-        return result
-
     def _handle(self, message: protocol.ClientMessage) -> bytes:
         op = message.op
         session = self._session
@@ -315,8 +289,8 @@ class _ClientHandler(threading.Thread):
                 self._statements.pop(next(iter(self._statements)))
             return protocol.encode_prepared(stmt_id, self._in_transaction)
         if op == protocol.FETCH:
-            return self._traced_call(
-                message, "fetch",
+            return self._server.database.obs.call(
+                message.trace, "fetch",
                 lambda: self._fetch_frame(message.cursor_id, message.max_rows),
             )
         if op == protocol.CLOSE_CURSOR:
@@ -329,21 +303,9 @@ class _ClientHandler(threading.Thread):
             session.begin()
             return protocol.encode_ok(self._in_transaction)
         if op == protocol.COMMIT:
-            span = self._start_span(message, "commit")
-            if span is None:
-                session.commit()
-            else:
-                # Publish the span to the session so the engine attributes
-                # the commit's WAL fsync to it as a ``wal_fsync`` phase.
-                session._stmt_obs = span
-                try:
-                    session.commit()
-                except Exception as error:
-                    span.finish(error)
-                    raise
-                finally:
-                    session._stmt_obs = None
-                span.finish()
+            # A traced COMMIT records its span on this node (with the WAL
+            # fsync or the 2PC phases), opened by the session itself.
+            session.commit(trace=message.trace)
             # The commit's LSN rides on the acknowledgement so clients get
             # read-your-writes tokens without an extra round trip.
             return protocol.encode_ok(
@@ -395,46 +357,26 @@ class _ClientHandler(threading.Thread):
             return protocol.encode_ok(
                 self._in_transaction, lsn=self._server.wal_position()
             )
-        if op == protocol.PREPARE_TXN:
+        if op in (
+            protocol.PREPARE_TXN, protocol.COMMIT_PREPARED, protocol.ABORT_PREPARED
+        ):
             if self._server.read_only:
                 raise ReadOnlyError(
-                    "PREPARE_TXN rejected: this server is a read-only replica"
+                    f"{message.op_name} rejected: this server is a read-only replica"
                 )
-            self._traced_call(
-                message, "2pc_prepare",
-                lambda: session.prepare_transaction(message.gid),
-            )
-            return protocol.encode_ok(
-                self._in_transaction, lsn=self._server.wal_position()
-            )
-        if op == protocol.COMMIT_PREPARED:
-            if self._server.read_only:
-                raise ReadOnlyError(
-                    "COMMIT_PREPARED rejected: this server is a read-only replica"
-                )
-            self._traced_call(
-                message, "2pc_commit",
-                lambda: self._server.database.commit_prepared(message.gid),
-            )
-            return protocol.encode_ok(
-                self._in_transaction, lsn=self._server.wal_position()
-            )
-        if op == protocol.ABORT_PREPARED:
-            if self._server.read_only:
-                raise ReadOnlyError(
-                    "ABORT_PREPARED rejected: this server is a read-only replica"
-                )
-            self._traced_call(
-                message, "2pc_abort",
-                lambda: self._server.database.rollback_prepared(message.gid),
-            )
+            verb = {
+                protocol.PREPARE_TXN: session.prepare_txn,
+                protocol.COMMIT_PREPARED: session.commit_prepared,
+                protocol.ABORT_PREPARED: session.abort_prepared,
+            }[op]
+            verb(message.gid, trace=message.trace)
             return protocol.encode_ok(
                 self._in_transaction, lsn=self._server.wal_position()
             )
         if op == protocol.TRACES:
             database = self._server.database
             document = {
-                "node": database.node_name,
+                "node": database.obs.node,
                 "spans": database.traces(message.trace_id or None),
             }
             return protocol.encode_stats(
@@ -442,14 +384,14 @@ class _ClientHandler(threading.Thread):
             )
         if op == protocol.METRICS:
             return protocol.encode_stats(
-                self._server.database.render_metrics(), self._in_transaction
+                self._server.database.metrics.render_prometheus(),
+                self._in_transaction,
             )
         if op == protocol.LIST_PREPARED:
             # Works on replicas too: a coordinator resolving in-doubt
             # transactions may reach a node in either role.
             return protocol.encode_stats(
-                json.dumps(self._server.database.prepared_gids()),
-                self._in_transaction,
+                json.dumps(session.list_prepared()), self._in_transaction
             )
         raise protocol.ProtocolError(f"unexpected opcode {message.op_name}")
 
@@ -716,14 +658,13 @@ class SqlServer:
         #: Fault-injection tests shrink this to cut streams between small
         #: chunks at byte-exact offsets.
         self.replication_chunk_bytes = replication_chunk_bytes
-        if database.node_name == "engine":
+        if database.obs.node == "engine":
             # Attribute this node's spans and slow-query lines to the
             # server's banner ("primary", "shard0", ...) instead of the
             # engine default.
-            database.node_name = banner
-            database.slow_log.node = banner
+            database.obs.rename(banner)
         #: Server counters live on the engine's registry, so SERVER_STATS,
-        #: Database.render_metrics() and a Prometheus scrape all agree.
+        #: the METRICS verb and a Prometheus scrape all agree.
         self.stats = ServerStats(registry=database.metrics)
         self._request_latency = database.metrics.histogram(
             "server_request_latency_seconds",

@@ -47,20 +47,19 @@ import uuid
 from typing import Callable, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.slowlog import SlowQueryLog
-from repro.obs.trace import (
-    ActiveSpan,
-    TraceBuffer,
-    TraceContext,
-    TracingOptions,
-    new_root_context,
-)
+from repro.obs.observer import NodeObserver
+from repro.obs.trace import ActiveSpan, TraceContext, TracingOptions
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.engine import Database, ResultSet, _split_script
 from repro.sqlengine.errors import (
     ShardError,
+    SqlCatalogError,
     SqlExecutionError,
+    SqlParseError,
+    SqlTypeError,
     StaleShardMapError,
+    TransactionConflictError,
+    UniqueViolationError,
 )
 from repro.sqlengine.expressions import collect_column_refs, split_conjuncts
 from repro.sqlengine.operators import _sort_key
@@ -78,6 +77,7 @@ from repro.sharding.router import (
     Route,
     Router,
 )
+from repro.session import SqlSession
 from repro.sharding.shardmap import ShardMap
 
 _DDL_STATEMENTS = (
@@ -87,41 +87,33 @@ _DDL_STATEMENTS = (
 )
 
 
-# -- 2PC verb adapters --------------------------------------------------------
-#
-# Shard sessions come in two shapes: network sessions (RemoteSession /
-# RoutedSession) carry the 2PC verbs themselves, embedded engine sessions
-# prepare on the session but decide on their Database.
+#: Errors that describe the statement, not the shard that ran it: every
+#: shard would raise the same, so a multi-shard step surfaces them
+#: unchanged, exactly as a single-shard route does.
+_STATEMENT_ERRORS = (
+    SqlParseError,
+    SqlCatalogError,
+    SqlTypeError,
+    UniqueViolationError,
+    TransactionConflictError,
+)
 
 
-def _prepare(session, gid: str, trace=None) -> None:
-    if hasattr(session, "prepare_txn"):
-        if trace is not None:
-            session.prepare_txn(gid, trace=trace)
-        else:
-            session.prepare_txn(gid)
-    else:
-        session.prepare_transaction(gid)
+def _raise_first_failure(step: str, errors: list[tuple[int, Exception]]) -> None:
+    """Raise the lowest-numbered failing shard's error: a statement error
+    as it is, anything else (a dead node, a refused connection) as a
+    :class:`ShardError` naming the shard."""
+    shard, error = min(errors, key=lambda pair: pair[0])
+    if isinstance(error, _STATEMENT_ERRORS):
+        raise error
+    raise ShardError(f"{step} failed on shard {shard}: {error}") from error
 
 
-def _commit_prepared(session, gid: str, trace=None) -> None:
-    if hasattr(session, "commit_prepared"):
-        if trace is not None:
-            session.commit_prepared(gid, trace=trace)
-        else:
-            session.commit_prepared(gid)
-    else:
-        session.database.commit_prepared(gid)
-
-
-def _abort_prepared(session, gid: str, trace=None) -> None:
-    if hasattr(session, "abort_prepared"):
-        if trace is not None:
-            session.abort_prepared(gid, trace=trace)
-        else:
-            session.abort_prepared(gid)
-    else:
-        session.database.rollback_prepared(gid)
+def _close_quietly(session: SqlSession) -> None:
+    try:
+        session.close()
+    except Exception:
+        pass
 
 
 # -- merge helpers ------------------------------------------------------------
@@ -316,18 +308,16 @@ class ShardedSession:
 
     def __init__(self, database: "ShardedDatabase", autocommit: bool = True):
         self._db = database
+        self._obs = database.obs
         self.autocommit = autocommit
         self._closed = False
         self._active = False
-        self._enlisted: dict[int, object] = {}
+        self._enlisted: dict[int, SqlSession] = {}
         self._map_version: Optional[int] = None
-        #: The span of the statement currently on the observed path (set
-        #: by :meth:`_execute_observed`); 2PC phase timings land on it.
-        self._obs: Optional[ActiveSpan] = None
-        #: A span handed in from outside for a bare ``commit()`` call —
-        #: the wire server parks its COMMIT span here, exactly as it does
-        #: on an engine session.
-        self._stmt_obs: Optional[ActiveSpan] = None
+        #: The span of the traced statement currently executing; a commit
+        #: it runs (COMMIT, autocommit multi-shard write) times its 2PC
+        #: phases on it.
+        self._span: Optional[ActiveSpan] = None
         #: The child trace context re-propagated to every shard call made
         #: on behalf of the current traced statement.
         self._fanout_trace: Optional[TraceContext] = None
@@ -355,7 +345,13 @@ class ShardedSession:
         self._active = True
         self._map_version = self._db.shard_map.version
 
-    def commit(self) -> None:
+    def commit(self, *, trace: Optional[TraceContext] = None) -> None:
+        """Commit the enlisted shards: directly for one participant,
+        two-phase for several.  A sampled ``trace`` records a ``commit``
+        span carrying the 2PC phases and the gid."""
+        self._obs.traced(trace, "commit", self._commit)
+
+    def _commit(self, span: Optional[ActiveSpan]) -> None:
         self._check_open()
         if not self._active:
             return
@@ -365,7 +361,9 @@ class ShardedSession:
             if session.in_transaction
         ]
         try:
-            self._commit_participants(participants, self._map_version)
+            self._commit_participants(
+                participants, self._map_version, span or self._span
+            )
         finally:
             self._release()
 
@@ -405,20 +403,26 @@ class ShardedSession:
             self.rollback()
         self.close()
 
-    def prepare_transaction(self, gid: str) -> None:
+    def prepare_txn(self, gid: str, *, trace: Optional[TraceContext] = None) -> None:
         """The coordinator is the 2PC *driver*, never a participant: a
-        prepared coordinator transaction would need its own coordinator."""
+        prepared coordinator transaction would need its own coordinator.
+        The participant verbs all refuse."""
         raise ShardError(
-            "PREPARE TRANSACTION is not supported on a sharding "
-            "coordinator; it drives two-phase commit, it does not join one"
+            "two-phase commit participant verbs are not supported on a "
+            "sharding coordinator; it drives two-phase commit, it does not "
+            "join one"
         )
+
+    commit_prepared = abort_prepared = prepare_txn
+
+    def list_prepared(self) -> list[str]:
+        """Gids prepared anywhere in the fleet (see
+        :meth:`ShardedDatabase.prepared_gids`)."""
+        return self._db.prepared_gids()
 
     def _release(self) -> None:
         for session in self._enlisted.values():
-            try:
-                session.close()
-            except Exception:
-                pass
+            _close_quietly(session)
         self._enlisted = {}
         self._active = False
         self._map_version = None
@@ -431,16 +435,18 @@ class ShardedSession:
     # -- two-phase commit ----------------------------------------------------
 
     def _commit_participants(
-        self, participants: list[tuple[int, object]], map_version: Optional[int]
+        self,
+        participants: list[tuple[int, SqlSession]],
+        map_version: Optional[int],
+        span: Optional[ActiveSpan],
     ) -> None:
+        """Commit directly or in two phases; the 2PC phases and the gid
+        land on ``span`` — the traced statement's (a COMMIT or an
+        autocommit write) or the traced commit() call's."""
         db = self._db
         if not participants:
             return
-        # The span the commit belongs to: the statement's own span when a
-        # traced COMMIT (or autocommit write) is executing, or one parked
-        # on the session by the wire server's COMMIT handler.
-        obs = self._obs if self._obs is not None else self._stmt_obs
-        trace = obs.context if obs is not None else self._fanout_trace
+        trace = span.context if span is not None else self._fanout_trace
         if map_version is not None and db.shard_map.version != map_version:
             for _, session in participants:
                 try:
@@ -453,27 +459,23 @@ class ShardedSession:
                 "aborted to avoid committing stale row placements"
             )
         if len(participants) == 1:
-            session = participants[0][1]
-            if trace is not None and hasattr(session, "prepare_txn"):
-                session.commit(trace=trace)
-            else:
-                session.commit()
+            participants[0][1].commit(trace=trace)
             return
         gid = db._new_gid()
-        if obs is not None:
-            obs.tag(gid=gid)
+        if span is not None:
+            span.tag(gid=gid)
         t0 = time.perf_counter()
-        prepared: list[tuple[int, object]] = []
+        prepared: list[tuple[int, SqlSession]] = []
         for shard, session in participants:
             try:
-                _prepare(session, gid, trace)
+                session.prepare_txn(gid, trace=trace)
                 prepared.append((shard, session))
             except Exception as error:
                 # Phase one veto: abort the already-prepared batches and
                 # roll back everyone still holding an open transaction.
                 for _, done in prepared:
                     try:
-                        _abort_prepared(done, gid, trace)
+                        done.abort_prepared(gid, trace=trace)
                     except Exception:
                         pass
                 prepared_ids = {id(done) for _, done in prepared}
@@ -491,26 +493,26 @@ class ShardedSession:
                 raise ShardError(
                     f"2PC prepare failed on shard {shard}: {error}"
                 ) from error
-        if obs is not None:
+        if span is not None:
             t1 = time.perf_counter()
-            obs.phase("2pc_prepare", t1 - t0)
+            span.phase("2pc_prepare", t1 - t0)
             t0 = t1
         # The decision point: once this record is on disk the
         # transaction IS committed, whatever happens to the processes.
         db.journal.record(gid, "commit")
         db._count_2pc()
-        if obs is not None:
+        if span is not None:
             t1 = time.perf_counter()
-            obs.phase("2pc_decision", t1 - t0)
+            span.phase("2pc_decision", t1 - t0)
             t0 = t1
         failures: list[int] = []
         for shard, session in participants:
             try:
-                _commit_prepared(session, gid, trace)
+                session.commit_prepared(gid, trace=trace)
             except Exception:
                 failures.append(shard)
-        if obs is not None:
-            obs.phase("2pc_commit", time.perf_counter() - t0)
+        if span is not None:
+            span.phase("2pc_commit", time.perf_counter() - t0)
         if failures:
             raise ShardError(
                 f"transaction {gid} is committed but shard(s) "
@@ -531,73 +533,25 @@ class ShardedSession:
 
         Mirrors the engine session's hot-path contract: with no inbound
         trace context and observability off, this adds exactly one
-        attribute check before the plain routing path.
+        attribute check before the plain routing path.  Otherwise the
+        node's observer records a ``coordinator`` span whose context is
+        re-propagated to every shard call, tagged with the route.
         """
-        database = self._db
-        if trace is None and not database._observed:
+        if trace is None and not self._obs.active:
             return self._execute_statement(sql, params)
-        return self._execute_observed(sql, params, trace)
-
-    def _execute_observed(
-        self,
-        sql: str,
-        params: Sequence[object],
-        trace: Optional[TraceContext],
-    ) -> ResultSet:
-        """The instrumented routing path: a ``coordinator`` span whose
-        context is re-propagated to every shard call, the statement
-        latency histogram, and the coordinator's slow-query log."""
-        db = self._db
-        context = trace
-        if context is None and db._tracing.samples(db._next_trace_counter()):
-            context = new_root_context()
-        span: Optional[ActiveSpan] = None
-        if context is not None and context.sampled:
-            span = db.trace_buffer.start_span(
-                context, "coordinator", db.node_name
-            )
-            span.tag(sql=sql)
-            self._fanout_trace = span.context
-        elif context is not None:
-            # Unsampled inbound context: no local span, but keep
-            # propagating the id so downstream nodes agree.
-            self._fanout_trace = context
-        self._obs = span
-        self._stmt_route = None
-        error: Optional[BaseException] = None
-        rowcount: Optional[int] = None
-        t0 = time.perf_counter()
-        try:
-            result = self._execute_statement(sql, params)
-            rowcount = result.rowcount
-            return result
-        except BaseException as exc:
-            error = exc
-            raise
-        finally:
-            self._obs = None
-            self._fanout_trace = None
-            route = self._stmt_route
+        with self._obs.statement("coordinator", sql, trace) as observed:
+            self._span = observed.span
+            self._fanout_trace = observed.forward
             self._stmt_route = None
-            duration_s = time.perf_counter() - t0
-            db._statement_latency.observe(duration_s)
-            if span is not None:
-                if route is not None:
-                    span.tag(route=route)
-                span.finish(error)
-            db.slow_log.record(
-                sql,
-                duration_s * 1000.0,
-                rows=rowcount,
-                mode=None,
-                route=route,
-                trace_id=context.trace_id if context is not None else None,
-                error=(
-                    f"{type(error).__name__}: {error}"
-                    if error is not None
-                    else None
-                ),
-            )
+            try:
+                result = self._execute_statement(sql, params)
+            finally:
+                observed.route = self._stmt_route
+                self._span = None
+                self._fanout_trace = None
+                self._stmt_route = None
+            observed.rows = result.rowcount
+            return result
 
     def _execute_statement(
         self, sql: str, params: Sequence[object] = ()
@@ -677,15 +631,10 @@ class ShardedSession:
             return self._session_for(shard), False
         return self._db._backend_session(shard, autocommit=True), True
 
-    def _shard_execute(self, session, sql: str, params: Sequence[object]):
+    def _shard_execute(self, session: SqlSession, sql: str, params: Sequence[object]):
         """Forward one statement to a shard session, re-propagating the
-        coordinator's trace context when the statement is traced.  The
-        trace keyword is only passed when set, so duck-typed backends
-        without tracing support keep working."""
-        trace = self._fanout_trace
-        if trace is not None:
-            return session.execute(sql, params, trace=trace)
-        return session.execute(sql, params)
+        coordinator's trace context when the statement is traced."""
+        return session.execute(sql, params, trace=self._fanout_trace)
 
     def _pick_any(self) -> int:
         if self._active:
@@ -740,16 +689,9 @@ class ShardedSession:
         finally:
             for _, session, temporary in checkouts:
                 if temporary:
-                    try:
-                        session.close()
-                    except Exception:
-                        pass
+                    _close_quietly(session)
         if errors:
-            errors.sort(key=lambda pair: pair[0])
-            shard, error = errors[0]
-            raise ShardError(
-                f"fan-out failed on shard {shard}: {error}"
-            ) from error
+            _raise_first_failure("fan-out", errors)
         return [result for result in results if result is not None]
 
     # -- SELECT --------------------------------------------------------------
@@ -966,7 +908,7 @@ class ShardedSession:
                 for shard, session in sessions
                 if session.in_transaction
             ]
-            self._commit_participants(participants, map_version)
+            self._commit_participants(participants, map_version, self._span)
         except BaseException:
             for _, session in sessions:
                 try:
@@ -976,10 +918,7 @@ class ShardedSession:
             raise
         finally:
             for _, session in sessions:
-                try:
-                    session.close()
-                except Exception:
-                    pass
+                _close_quietly(session)
         return ResultSet(columns=[], rows=[], rowcount=rowcount)
 
     def _run_write(
@@ -1037,11 +976,7 @@ class ShardedSession:
             for thread in threads:
                 thread.join()
         if errors:
-            errors.sort(key=lambda pair: pair[0])
-            shard, error = errors[0]
-            raise ShardError(
-                f"distributed write failed on shard {shard}: {error}"
-            ) from error
+            _raise_first_failure("distributed write", errors)
         counts = [count for count in rowcounts if count is not None]
         if route.kind == SPLIT or self._db.shard_map.is_sharded(
             statement.table
@@ -1103,20 +1038,17 @@ class ShardedDatabase:
                 f"{len(shards)} backends were supplied"
             )
         self.name = name
-        # Observability mirrors the engine Database surface (node_name /
-        # metrics / trace_buffer / slow_log / traces()), so the unchanged
-        # wire server fronts a coordinator like any other node.
-        self.node_name = name
+        # Observability mirrors the engine Database surface (metrics / obs
+        # / traces()), so the unchanged wire server fronts a coordinator
+        # like any other node.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._tracing = tracing if tracing is not None else TracingOptions()
-        self.trace_buffer = TraceBuffer(self._tracing.buffer_size)
-        self.slow_log = SlowQueryLog(
-            slow_query_ms, sink=slow_query_sink, node=name
-        )
-        self._observed = self._tracing.enabled or self.slow_log.enabled
-        self._trace_counter = 0
-        self._statement_latency = self.metrics.histogram(
-            "coordinator_statement_latency_seconds"
+        self.obs = NodeObserver(
+            name,
+            tracing=tracing,
+            metrics=self.metrics,
+            latency_histogram="coordinator_statement_latency_seconds",
+            slow_query_ms=slow_query_ms,
+            slow_query_sink=slow_query_sink,
         )
         self._shards = list(shards)
         self._map = shard_map
@@ -1141,8 +1073,6 @@ class ShardedDatabase:
         # Bridge the coordinator's counters into the registry as pull
         # collectors (nothing on the routing hot path changes).
         self.metrics.collect("coordinator", self._coordinator_counters)
-        self.metrics.collect("trace_buffer", lambda: self.trace_buffer.stats())
-        self.metrics.collect("slow_query_log", self.slow_log.stats)
         if resolve:
             self.resolve_in_doubt()
 
@@ -1338,10 +1268,7 @@ class ShardedDatabase:
             return backend.explain(sql)
         session = backend.session(autocommit=True)
         try:
-            if hasattr(session, "explain"):
-                return session.explain(sql)
-            result = session.execute(f"EXPLAIN {sql}")
-            return "\n".join(str(row[0]) for row in result.rows)
+            return session.explain(sql)
         finally:
             session.close()
 
@@ -1368,29 +1295,16 @@ class ShardedDatabase:
         gids: set[str] = set()
         for shard in range(len(self._shards)):
             try:
-                gids.update(self._shard_prepared(shard)[0]())
+                session = self._backend_session(shard)
             except Exception:
                 continue
+            try:
+                gids.update(session.list_prepared())
+            except Exception:
+                pass
+            finally:
+                _close_quietly(session)
         return sorted(gids)
-
-    def _shard_prepared(self, shard: int):
-        """(list_prepared, commit, abort, close) against one shard."""
-        backend = self._shards[shard]
-        if hasattr(backend, "prepared_gids"):
-            # An embedded engine Database.
-            return (
-                backend.prepared_gids,
-                backend.commit_prepared,
-                backend.rollback_prepared,
-                lambda: None,
-            )
-        session = backend.session(autocommit=True)
-        return (
-            session.list_prepared,
-            session.commit_prepared,
-            session.abort_prepared,
-            session.close,
-        )
 
     def resolve_in_doubt(self) -> dict[str, int]:
         """Finish transactions a crash left prepared on the shards.
@@ -1404,25 +1318,22 @@ class ShardedDatabase:
         outcome = {"committed": 0, "aborted": 0, "unreachable_shards": 0}
         for shard in range(len(self._shards)):
             try:
-                list_prepared, commit, abort, close = self._shard_prepared(shard)
+                session = self._backend_session(shard)
             except Exception:
                 outcome["unreachable_shards"] += 1
                 continue
             try:
-                for gid in list_prepared():
+                for gid in session.list_prepared():
                     if decisions.get(gid) == "commit":
-                        commit(gid)
+                        session.commit_prepared(gid)
                         outcome["committed"] += 1
                     else:
-                        abort(gid)
+                        session.abort_prepared(gid)
                         outcome["aborted"] += 1
             except Exception:
                 outcome["unreachable_shards"] += 1
             finally:
-                try:
-                    close()
-                except Exception:
-                    pass
+                _close_quietly(session)
         with self._lock:
             self.in_doubt_committed += outcome["committed"]
             self.in_doubt_aborted += outcome["aborted"]
@@ -1439,29 +1350,10 @@ class ShardedDatabase:
                 "in_doubt_committed": self.in_doubt_committed,
                 "in_doubt_aborted": self.in_doubt_aborted,
                 "tables": len(self._schemas),
-                "tracing": self.trace_buffer.stats(),
-                "slow_query_log": self.slow_log.stats(),
+                **self.obs.stats(),
             }
 
     # -- observability --------------------------------------------------------
-
-    @property
-    def tracing(self) -> TracingOptions:
-        """This coordinator's tracing options (see :meth:`set_tracing`)."""
-        return self._tracing
-
-    def set_tracing(self, options: TracingOptions) -> None:
-        """Switch tracing on or off at runtime.  Already-buffered spans are
-        kept; the buffer is resized only if the new size differs."""
-        self._tracing = options
-        if options.buffer_size != self.trace_buffer.stats()["capacity"]:
-            self.trace_buffer = TraceBuffer(options.buffer_size)
-        self._observed = options.enabled or self.slow_log.enabled
-
-    def set_slow_query_threshold(self, threshold_ms: Optional[float]) -> None:
-        """Change (or with None, disable) the slow-query threshold."""
-        self.slow_log.threshold_ms = threshold_ms
-        self._observed = self._tracing.enabled or self.slow_log.enabled
 
     def traces(self, trace_id: Optional[str] = None) -> list[dict]:
         """The coordinator's own spans plus every span its shard backends
@@ -1469,7 +1361,7 @@ class ShardedDatabase:
         shapes (embedded engines, connection pools, replicated pools);
         unreachable backends are skipped — traces are a diagnostic
         surface and must not fail while the fleet is degraded."""
-        spans = self.trace_buffer.spans(trace_id)
+        spans = self.obs.trace_buffer.spans(trace_id)
         for backend in self._shards:
             fetch = getattr(backend, "traces", None)
             if fetch is None:
@@ -1479,20 +1371,6 @@ class ShardedDatabase:
             except Exception:
                 continue
         return spans
-
-    def trace_ids(self) -> list[str]:
-        """Distinct trace ids in the coordinator's buffer, oldest first."""
-        return self.trace_buffer.trace_ids()
-
-    def slow_queries(self, limit: Optional[int] = None) -> list[dict]:
-        """The coordinator's most recent slow-query records, oldest
-        first.  Each carries the routing decision (``route``) alongside
-        the usual fields."""
-        return self.slow_log.recent(limit)
-
-    def render_metrics(self) -> str:
-        """The coordinator's registry in Prometheus text format."""
-        return self.metrics.render_prometheus()
 
     def _coordinator_counters(self) -> dict[str, object]:
         with self._lock:
@@ -1507,11 +1385,6 @@ class ShardedDatabase:
             for kind, count in self._route_counts.items():
                 counters[f"route_{kind}"] = count
         return counters
-
-    def _next_trace_counter(self) -> int:
-        with self._lock:
-            self._trace_counter += 1
-            return self._trace_counter
 
     def close(self) -> None:
         if self._closed:

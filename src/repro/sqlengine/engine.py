@@ -32,14 +32,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.slowlog import SlowQueryLog
-from repro.obs.trace import (
-    ActiveSpan,
-    TraceBuffer,
-    TraceContext,
-    TracingOptions,
-    new_root_context,
-)
+from repro.obs.observer import NodeObserver
+from repro.obs.trace import ActiveSpan, TraceContext, TracingOptions
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.catalog import Catalog, TableSchema
 from repro.sqlengine.columnar import ColumnarMetrics
@@ -152,14 +146,12 @@ class Session:
 
     def __init__(self, database: "Database", autocommit: bool = True) -> None:
         self._database = database
+        self._obs = database.obs
         self.autocommit = autocommit
         self._transaction: Optional[Transaction] = None
-        # Observability state for the statement currently executing on this
-        # session (sessions are single-threaded, so plain attributes work):
-        # the active span — if any — so deep phases (WAL fsync inside the
-        # commit epilogue) can attribute their time, and the executed plan
-        # mode for the slow-query log.
-        self._stmt_obs: Optional[ActiveSpan] = None
+        # The executed plan mode of the statement on the observed path, for
+        # its span and slow-log record (sessions are single-threaded, so a
+        # plain attribute works).
         self._stmt_mode: Optional[str] = None
 
     # -- properties ----------------------------------------------------------
@@ -184,7 +176,7 @@ class Session:
         self._database._mvcc.begin_transaction(transaction)
         self._transaction = transaction
 
-    def commit(self) -> None:
+    def commit(self, *, trace: Optional[TraceContext] = None) -> None:
         """Commit the open transaction (no-op when none is open).
 
         On a durable database the transaction's redo batch is appended to
@@ -192,13 +184,17 @@ class Session:
         order), and the commit then waits for the log to reach disk per
         the fsync policy *after* releasing it (so a slow fsync never
         blocks other sessions — that wait is where group commit batches
-        concurrent committers into one fsync).
+        concurrent committers into one fsync).  A sampled ``trace``
+        records a ``commit`` span carrying that wait as ``wal_fsync``.
         """
+        self._obs.traced(trace, "commit", self._commit)
+
+    def _commit(self, obs: Optional[ActiveSpan]) -> None:
         transaction = self._transaction
         if transaction is None:
             return
         transaction.savepoints.clear()
-        self._commit_and_release(transaction)
+        self._commit_and_release(transaction, obs)
 
     def rollback(self) -> None:
         """Roll back the open transaction (no-op when none is open)."""
@@ -215,16 +211,16 @@ class Session:
         finally:
             self._transaction = None
 
-    def prepare_transaction(self, gid: str) -> None:
+    def prepare_txn(self, gid: str, *, trace: Optional[TraceContext] = None) -> None:
         """Two-phase commit, phase one: detach the open transaction into
         the database's prepared registry under global id ``gid``.
 
         The transaction's redo batch (terminated by a PREPARE frame) is
         made durable, its row ownerships stay held, and the session is left
         with no open transaction — closing the connection can no longer
-        roll it back.  Only :meth:`Database.commit_prepared` or
-        :meth:`Database.rollback_prepared` (normally driven by the
-        distributed coordinator's decision) finishes it.
+        roll it back.  Only :meth:`commit_prepared` or
+        :meth:`abort_prepared` (normally driven by the distributed
+        coordinator's decision, from any session) finishes it.
         """
         transaction = self._transaction
         if transaction is None:
@@ -235,7 +231,29 @@ class Session:
         # Detach before handing over: on failure the database rolls the
         # transaction back itself, so the session must not own it anymore.
         self._transaction = None
-        self._database._prepare_transaction(gid, transaction)
+        self._obs.call(
+            trace, "2pc_prepare",
+            lambda: self._database._prepare_transaction(gid, transaction),
+            gid=gid,
+        )
+
+    def commit_prepared(self, gid: str, *, trace: Optional[TraceContext] = None) -> None:
+        """Phase two, COMMIT (see :meth:`Database.commit_prepared`)."""
+        self._obs.call(
+            trace, "2pc_commit",
+            lambda: self._database.commit_prepared(gid), gid=gid,
+        )
+
+    def abort_prepared(self, gid: str, *, trace: Optional[TraceContext] = None) -> None:
+        """Phase two, ABORT (see :meth:`Database.rollback_prepared`)."""
+        self._obs.call(
+            trace, "2pc_abort",
+            lambda: self._database.rollback_prepared(gid), gid=gid,
+        )
+
+    def list_prepared(self) -> list[str]:
+        """Gids of every prepared transaction awaiting a decision."""
+        return self._database.prepared_gids()
 
     def savepoint(self, name: str) -> None:
         """Define a savepoint inside the open transaction."""
@@ -290,12 +308,20 @@ class Session:
         from the wire protocol's optional trailing field); locally
         originated statements get one when the database's tracing is
         enabled.  With no context and observability off this adds exactly
-        one attribute check to the plain execution path.
+        one attribute check to the plain execution path; otherwise the
+        node's observer records the statement, with per-phase timings and
+        the executed plan mode.
         """
-        database = self._database
-        if trace is None and not database._observed:
+        if trace is None and not self._obs.active:
             return self._execute_statement(sql, params, None)
-        return self._execute_observed(sql, params, trace)
+        with self._obs.statement("statement", sql, trace) as observed:
+            self._stmt_mode = None
+            try:
+                result = self._execute_statement(sql, params, observed.span)
+            finally:
+                observed.mode = self._stmt_mode
+            observed.rows = result.rowcount
+            return result
 
     def _execute_statement(
         self,
@@ -315,7 +341,7 @@ class Session:
         statement = cached.statement
         if isinstance(statement, ast.TransactionStatement):
             database._count_statement()
-            self._apply_transaction_statement(statement)
+            self._apply_transaction_statement(statement, obs)
             return ResultSet(columns=[], rows=[])
         if isinstance(statement, ast.CheckpointStatement):
             database._count_statement()
@@ -324,61 +350,6 @@ class Session:
         if isinstance(statement, (ast.SelectStatement, ast.ExplainStatement)):
             return self._execute_select(sql, params, cached, generation, obs)
         return self._execute_write(sql, params, cached, generation, obs)
-
-    def _execute_observed(
-        self,
-        sql: str,
-        params: Sequence[object],
-        trace: Optional[TraceContext],
-    ) -> ResultSet:
-        """The instrumented execution path: span recording with per-phase
-        timings, the statement-latency histogram and the slow-query log.
-        Entered only for statements carrying an inbound trace context or on
-        a database with tracing / slow-query logging switched on."""
-        database = self._database
-        context = trace
-        if context is None and database._tracing.samples(
-            database._next_trace_counter()
-        ):
-            context = new_root_context()
-        span: Optional[ActiveSpan] = None
-        if context is not None and context.sampled:
-            span = database.trace_buffer.start_span(
-                context, "statement", database.node_name
-            )
-            span.tag(sql=sql)
-        self._stmt_obs = span
-        self._stmt_mode = None
-        error: Optional[BaseException] = None
-        rowcount: Optional[int] = None
-        t0 = time.perf_counter()
-        try:
-            result = self._execute_statement(sql, params, span)
-            rowcount = result.rowcount
-            return result
-        except BaseException as exc:
-            error = exc
-            raise
-        finally:
-            self._stmt_obs = None
-            duration_s = time.perf_counter() - t0
-            database._statement_latency.observe(duration_s)
-            if span is not None:
-                if self._stmt_mode is not None:
-                    span.tag(mode=self._stmt_mode)
-                span.finish(error)
-            database.slow_log.record(
-                sql,
-                duration_s * 1000.0,
-                rows=rowcount,
-                mode=self._stmt_mode,
-                trace_id=context.trace_id if context is not None else None,
-                error=(
-                    f"{type(error).__name__}: {error}"
-                    if error is not None
-                    else None
-                ),
-            )
 
     def execute_many(self, sql: str, param_rows: Iterable[Sequence[object]]) -> int:
         """Execute the same DML statement for every parameter row inside one
@@ -571,7 +542,7 @@ class Session:
             # checkpoint trigger inside the epilogue must be able to drain
             # *this* statement.
             controller.end_statement(token)
-            self._finish_write(transaction)
+            self._finish_write(transaction, obs)
             controller.collect_garbage()
             return ResultSet(
                 columns=result.columns, rows=result.rows, rowcount=result.rowcount
@@ -610,11 +581,15 @@ class Session:
             columns=result.columns, rows=result.rows, rowcount=result.rowcount
         )
 
-    def _finish_write(self, transaction: Transaction) -> None:
+    def _finish_write(
+        self, transaction: Transaction, obs: Optional[ActiveSpan] = None
+    ) -> None:
         if transaction.implicit:
-            self._commit_and_release(transaction)
+            self._commit_and_release(transaction, obs)
 
-    def _commit_and_release(self, transaction: Transaction) -> None:
+    def _commit_and_release(
+        self, transaction: Transaction, obs: Optional[ActiveSpan] = None
+    ) -> None:
         """The commit epilogue shared by explicit COMMIT and implicit
         (auto-commit) transactions.
 
@@ -625,7 +600,7 @@ class Session:
         half-installed commit.  The wait for the disk happens *after*
         releasing the lock, so a slow fsync never blocks other sessions —
         that wait is where group commit batches concurrent committers into
-        one fsync.
+        one fsync — recorded as ``wal_fsync`` on the span ``obs``, if any.
         """
         database = self._database
         controller = database._mvcc
@@ -652,7 +627,6 @@ class Session:
         controller.end_transaction(transaction, committed=True)
         controller.collect_garbage()
         if ticket is not None:
-            obs = self._stmt_obs
             if obs is None:
                 durability.sync(ticket)
             else:
@@ -673,12 +647,14 @@ class Session:
             )
         self._database.checkpoint()
 
-    def _apply_transaction_statement(self, statement: ast.TransactionStatement) -> None:
+    def _apply_transaction_statement(
+        self, statement: ast.TransactionStatement, obs: Optional[ActiveSpan]
+    ) -> None:
         action = statement.action
         if action == "BEGIN":
             self.begin()
         elif action == "COMMIT":
-            self.commit()
+            self._commit(obs)
         elif action == "ROLLBACK":
             self.rollback()
         elif action == "SAVEPOINT":
@@ -723,26 +699,20 @@ class Database:
     ) -> None:
         # Observability first: the metrics registry must exist before the
         # subsystems that record into it (columnar metrics, durability).
-        #: Name this engine's spans and slow-log records carry; servers set
-        #: it to their node name so cross-node traces attribute correctly.
-        self.node_name = node_name
         #: The unified metrics registry every counter of this engine lives
         #: in (or is bridged into via collectors); shareable so a server
         #: can merge engine and wire metrics into one scrape.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._tracing = tracing if tracing is not None else TracingOptions()
-        #: Ring buffer of finished spans recorded by this node.
-        self.trace_buffer = TraceBuffer(self._tracing.buffer_size)
-        #: Structured slow-query log (disabled unless ``slow_query_ms``).
-        self.slow_log = SlowQueryLog(
-            slow_query_ms, sink=slow_query_sink, node=node_name
-        )
-        # The single hot-path flag: statements take the instrumented path
-        # only when it is set (or they carry an inbound trace context).
-        self._observed = self._tracing.enabled or self.slow_log.enabled
-        self._trace_counter = 0
-        self._statement_latency = self.metrics.histogram(
-            "statement_latency_seconds"
+        #: This node's tracing, statement latency and slow-query log;
+        #: servers rename it to their node name so cross-node traces
+        #: attribute correctly.
+        self.obs = NodeObserver(
+            node_name,
+            tracing=tracing,
+            metrics=self.metrics,
+            latency_histogram="statement_latency_seconds",
+            slow_query_ms=slow_query_ms,
+            slow_query_sink=slow_query_sink,
         )
         self._catalog = Catalog()
         self._tables: dict[str, TableData] = {}
@@ -825,8 +795,6 @@ class Database:
         # scrape sees everything.
         self.metrics.collect("engine", self._engine_counters)
         self.metrics.collect("mvcc", self._mvcc.stats)
-        self.metrics.collect("trace_buffer", self.trace_buffer.stats)
-        self.metrics.collect("slow_query_log", self.slow_log.stats)
         self.metrics.collect("durability", self.durability_info)
 
     # -- properties ----------------------------------------------------------
@@ -898,8 +866,6 @@ class Database:
             )
         finally:
             self._mvcc.end_statement(token)
-        tracing = dict(self.trace_buffer.stats())
-        tracing["enabled"] = self._tracing.enabled
         return {
             "statements_executed": self.statements_executed,
             "statement_cache": self.statement_cache_info(),
@@ -909,48 +875,17 @@ class Database:
             "durable": self.durable,
             "durability": self.durability_info(),
             "prepared_transactions": len(self.prepared_gids()),
-            "tracing": tracing,
-            "slow_query_log": self.slow_log.stats(),
+            **self.obs.stats(),
         }
 
     # -- observability --------------------------------------------------------
-
-    @property
-    def tracing(self) -> TracingOptions:
-        """This node's tracing options (see :meth:`set_tracing`)."""
-        return self._tracing
-
-    def set_tracing(self, options: TracingOptions) -> None:
-        """Switch tracing on or off at runtime.  Already-buffered spans are
-        kept; the buffer is resized only if the new size differs."""
-        self._tracing = options
-        if options.buffer_size != (self.trace_buffer.stats()["capacity"]):
-            self.trace_buffer = TraceBuffer(options.buffer_size)
-        self._observed = options.enabled or self.slow_log.enabled
-
-    def set_slow_query_threshold(self, threshold_ms: float | None) -> None:
-        """Change (or with None, disable) the slow-query threshold."""
-        self.slow_log.threshold_ms = threshold_ms
-        self._observed = self._tracing.enabled or self.slow_log.enabled
 
     def traces(self, trace_id: str | None = None) -> list[dict]:
         """Spans recorded by **this node** (as dicts, oldest first),
         optionally filtered by trace id.  Distributed front ends
         (the sharding coordinator, the replicated pool) override/extend
         this by merging the buffers of every node they talk to."""
-        return self.trace_buffer.spans(trace_id)
-
-    def trace_ids(self) -> list[str]:
-        """Distinct trace ids currently buffered, oldest first."""
-        return self.trace_buffer.trace_ids()
-
-    def slow_queries(self, limit: int | None = None) -> list[dict]:
-        """The most recent slow-query records, oldest first."""
-        return self.slow_log.recent(limit)
-
-    def render_metrics(self) -> str:
-        """The unified registry in Prometheus text exposition format."""
-        return self.metrics.render_prometheus()
+        return self.obs.trace_buffer.spans(trace_id)
 
     def _engine_counters(self) -> dict[str, object]:
         info = self.statement_cache_info()
@@ -961,11 +896,6 @@ class Database:
             "statement_cache_entries": info["entries"],
             "plans_computed": info["plans_computed"],
         }
-
-    def _next_trace_counter(self) -> int:
-        with self._counter_lock:
-            self._trace_counter += 1
-            return self._trace_counter
 
     # -- durability ----------------------------------------------------------
 

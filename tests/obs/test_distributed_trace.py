@@ -35,7 +35,7 @@ def _single_trace(remote: RemoteDatabase) -> list[dict]:
     """The spans of the statement this remote just traced: its id comes
     from the client edge's own buffer (fresh per test), the spans from
     the pull-merge across every node."""
-    client_spans = remote.trace_buffer.spans()
+    client_spans = remote.obs.trace_buffer.spans()
     assert client_spans, "the client recorded no span"
     latest = client_spans[-1]["trace_id"]
     return remote.traces(latest)

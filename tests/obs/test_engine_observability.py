@@ -104,7 +104,7 @@ class TestSlowQueryLog:
     def test_threshold_zero_logs_everything_with_trace_ids(self) -> None:
         database = _traced_db(slow_query_ms=0.0)
         database.execute("SELECT v FROM t WHERE id = 1")
-        record = database.slow_queries()[-1]
+        record = database.obs.slow_queries()[-1]
         assert record["sql"] == "SELECT v FROM t WHERE id = 1"
         assert record["trace_id"] is not None
         assert record["rows"] == 1
@@ -114,20 +114,20 @@ class TestSlowQueryLog:
     def test_runtime_threshold_toggle(self) -> None:
         database = Database()
         database.execute("CREATE TABLE t (id INT PRIMARY KEY)")
-        assert database.slow_queries() == []
-        database.set_slow_query_threshold(0.0)
+        assert database.obs.slow_queries() == []
+        database.obs.set_slow_query_threshold(0.0)
         database.execute("INSERT INTO t VALUES (1)")
-        assert len(database.slow_queries()) == 1
-        database.set_slow_query_threshold(None)
+        assert len(database.obs.slow_queries()) == 1
+        database.obs.set_slow_query_threshold(None)
         database.execute("INSERT INTO t VALUES (2)")
-        assert len(database.slow_queries()) == 1
+        assert len(database.obs.slow_queries()) == 1
 
 
 class TestMetricsSurface:
     def test_render_includes_engine_and_mvcc_counters(self) -> None:
         database = _traced_db()
         database.execute("SELECT v FROM t WHERE id = 1")
-        text = database.render_metrics()
+        text = database.metrics.render_prometheus()
         assert "repro_engine_statements_executed" in text
         assert "repro_mvcc_" in text
         assert "repro_statement_latency_seconds_count" in text
@@ -137,10 +137,10 @@ class TestMetricsSurface:
         database.execute("CREATE TABLE t (id INT PRIMARY KEY)")
         database.execute("INSERT INTO t VALUES (1)")
         assert database.traces() == []
-        database.set_tracing(TracingOptions(enabled=True))
+        database.obs.set_tracing(TracingOptions(enabled=True))
         database.execute("INSERT INTO t VALUES (2)")
         assert len(database.traces()) == 1
-        database.set_tracing(TracingOptions(enabled=False))
+        database.obs.set_tracing(TracingOptions(enabled=False))
         database.execute("INSERT INTO t VALUES (3)")
         assert len(database.traces()) == 1
 

@@ -202,7 +202,7 @@ class TestTransactions:
         session = cluster.session(autocommit=False)
         try:
             with pytest.raises(ShardError, match="not supported on a sharding"):
-                session.prepare_transaction("gid-1")
+                session.prepare_txn("gid-1")
         finally:
             session.close()
 
