@@ -2,16 +2,14 @@
 next to the SQL generated by the Queryll rewriter.
 
 The benchmark times the whole analysis pipeline (bytecode lowering, loop and
-path analysis, query-tree construction, logical optimization, SQL
-generation) per query, and checks the structural properties the paper
-highlights — in particular that doGetRelated becomes a five-way self-join
-while the hand-written query uses a single OR-join.  It also prints the
-SQL of the ``OptimizerOptions(optimize=False)`` ablation next to it.
+path analysis, query-tree construction, SQL generation) per query, and
+checks the structural properties the paper highlights — in particular that
+doGetRelated becomes a five-way self-join while the hand-written query uses
+a single OR-join.
 """
 
 from __future__ import annotations
 
-from repro.core.optimizer import OptimizerOptions
 from repro.core.pipeline import QueryllPipeline
 from repro.pyfrontend.disassembler import lower_function
 from repro.tpcw import queries_queryll, queries_sql
@@ -20,11 +18,8 @@ from repro.tpcw.schema import tpcw_mapping
 _printed = False
 
 
-def _generate_all(optimize: bool = True) -> dict[str, str]:
-    mapping = tpcw_mapping()
-    pipeline = QueryllPipeline(
-        mapping, optimizer_options=OptimizerOptions(optimize=optimize)
-    )
+def _generate_all() -> dict[str, str]:
+    pipeline = QueryllPipeline(tpcw_mapping())
     generated: dict[str, str] = {}
     for name, function in queries_queryll.QUERY_FUNCTIONS.items():
         method = lower_function(function.original)
@@ -50,10 +45,8 @@ def test_table5_generated_sql(benchmark) -> None:
             "doSubjectSearch": queries_sql.DO_SUBJECT_SEARCH_SQL,
             "doGetRelated": queries_sql.DO_GET_RELATED_SQL,
         }
-        unoptimized = _generate_all(optimize=False)
         print("\n===== Table 3 / Table 5 (hand-written vs generated SQL) =====")
         for name, sql in generated.items():
             print(f"\n{name}")
             print(f"  hand-written: {handwritten[name]}")
             print(f"  generated:    {sql}")
-            print(f"  unoptimized:  {unoptimized[name]}")

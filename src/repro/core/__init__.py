@@ -13,21 +13,17 @@ The core turns compiled bytecode of query methods into SQL:
    substitution step.
 5. :mod:`repro.core.querytree` — interpretation of the symbolic expressions
    against the ORM mapping, producing a relational query tree.
-6. :mod:`repro.core.optimizer` — rule-based logical rewriting of query
-   trees (predicate normalisation, join pushdown, constant folding).
-7. :mod:`repro.core.sqlgen` — SQL text generation from query trees.
-8. :mod:`repro.core.rewriter` / :mod:`repro.core.pipeline` — drivers that tie
+6. :mod:`repro.core.sqlgen` — SQL text generation from query trees; the
+   database's planner plans the SQL.
+7. :mod:`repro.core.rewriter` / :mod:`repro.core.pipeline` — drivers that tie
    the stages together for a whole method or classfile.
 """
 
 from __future__ import annotations
 
-from repro.core.optimizer import Optimizer, OptimizerOptions
 from repro.core.pipeline import QueryllPipeline, RewrittenQuery, analyze_method
 
 __all__ = [
-    "Optimizer",
-    "OptimizerOptions",
     "QueryllPipeline",
     "RewrittenQuery",
     "analyze_method",

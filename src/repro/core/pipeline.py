@@ -19,7 +19,6 @@ from repro.core.analysis.simplify import simplify
 from repro.core.analysis.substitution import PathAnalysis, analyze_path
 from repro.core.cfg.graph import build_cfg
 from repro.core.expr import nodes
-from repro.core.optimizer import OptimizationResult, Optimizer, OptimizerOptions
 from repro.core.querytree.builder import QueryTreeBuilder
 from repro.core.querytree.nodes import QueryTree
 from repro.core.sqlgen.generator import GeneratedSql, SqlGenerator
@@ -33,12 +32,8 @@ from repro.errors import UnsupportedQueryError
 class RewrittenQuery:
     """Everything the pipeline learned about one query loop.
 
-    ``tree`` is the *optimized* query tree the SQL was generated from;
-    ``optimization`` records what the logical optimizer did to get there
-    (original tree, per-rule fire counters and — when the pipeline was
-    built with ``OptimizerOptions(trace=True)`` — one record per rule
-    application).  With ``OptimizerOptions(optimize=False)`` the optimizer
-    is skipped and ``tree`` is the builder's raw output.
+    ``tree`` is the query tree the builder produced and the SQL was
+    generated from; planning the SQL is left to the database.
     """
 
     method: TacMethod
@@ -47,7 +42,6 @@ class RewrittenQuery:
     path_analyses: list[PathAnalysis]
     tree: QueryTree
     generated: GeneratedSql
-    optimization: OptimizationResult | None = None
 
     @property
     def sql(self) -> str:
@@ -70,38 +64,18 @@ class AnalysisReport:
 
 
 class QueryllPipeline:
-    """The Queryll analysis pipeline bound to one ORM mapping.
+    """The Queryll analysis pipeline bound to one ORM mapping."""
 
-    ``optimizer_options`` controls the logical query-tree optimizer that
-    runs between query-tree construction and SQL generation.  The default
-    applies the full rule set (predicate normalisation, join-condition
-    pushdown, constant folding, range merging, duplicate elimination);
-    ``OptimizerOptions(optimize=False)`` is the ablation switch,
-    reproducing the unoptimized SQL of the bare paper pipeline.
-    """
-
-    def __init__(
-        self,
-        mapping: OrmMapping,
-        record_trace: bool = False,
-        optimizer_options: OptimizerOptions | None = None,
-    ) -> None:
+    def __init__(self, mapping: OrmMapping, record_trace: bool = False) -> None:
         self._mapping = mapping
         self._builder = QueryTreeBuilder(mapping)
         self._generator = SqlGenerator(mapping)
         self._record_trace = record_trace
-        self._optimizer_options = optimizer_options or OptimizerOptions()
-        self._optimizer = Optimizer(mapping, self._optimizer_options)
 
     @property
     def mapping(self) -> OrmMapping:
         """The ORM mapping used for interpretation."""
         return self._mapping
-
-    @property
-    def optimizer_options(self) -> OptimizerOptions:
-        """The logical-optimizer options this pipeline applies."""
-        return self._optimizer_options
 
     # -- analysis ---------------------------------------------------------------------
 
@@ -140,29 +114,21 @@ class QueryllPipeline:
             )
             analyses.append(analysis)
         tree = self._builder.build(query.source_expression, analyses)
-        optimization = self._optimizer.optimize(tree)
-        generated = self._generator.generate(optimization.tree)
         return RewrittenQuery(
             method=method,
             query=query,
             paths=paths,
             path_analyses=analyses,
-            tree=optimization.tree,
-            generated=generated,
-            optimization=optimization,
+            tree=tree,
+            generated=self._generator.generate(tree),
         )
 
 
 def analyze_method(
-    method: TacMethod,
-    mapping: OrmMapping,
-    record_trace: bool = False,
-    optimizer_options: OptimizerOptions | None = None,
+    method: TacMethod, mapping: OrmMapping, record_trace: bool = False
 ) -> list[RewrittenQuery]:
     """Convenience wrapper: analyse ``method`` and return its queries."""
-    pipeline = QueryllPipeline(
-        mapping, record_trace=record_trace, optimizer_options=optimizer_options
-    )
+    pipeline = QueryllPipeline(mapping, record_trace=record_trace)
     return pipeline.analyze_method(method).queries
 
 

@@ -134,8 +134,9 @@ class QueryTreeBuilder:
         """Interpret one path condition into a SQL predicate.
 
         Returns ``None`` for the always-true condition (an unconditional
-        ``add``); the logical optimizer later normalises and prunes the
-        combined predicate, so no simplification happens here.
+        ``add``).  The path conditions arrive simplified, and the engine's
+        planner splits the combined predicate into conjuncts, so no further
+        normalisation happens here.
         """
         if isinstance(condition, nodes.Constant) and condition.value is True:
             return None

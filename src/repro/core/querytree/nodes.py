@@ -140,25 +140,6 @@ class QueryTree:
         if condition not in self.join_conditions:
             self.join_conditions.append(condition)
 
-    def output_columns(self) -> list[SqlExpr]:
-        """Flatten the output shape into the list of projected expressions
-        (entity outputs are excluded: they expand to all columns later)."""
-        expressions: list[SqlExpr] = []
-
-        def walk(output: Output) -> None:
-            if isinstance(output, ColumnOutput):
-                expressions.append(output.expression)
-            elif isinstance(output, PairOutput):
-                walk(output.first)
-                walk(output.second)
-            elif isinstance(output, TupleOutput):
-                for item in output.items:
-                    walk(item)
-
-        if self.output is not None:
-            walk(self.output)
-        return expressions
-
 
 def _alias_for(position: int) -> str:
     """A, B, ..., Z, A1, B1, ... — the paper uses single letters."""
@@ -166,41 +147,3 @@ def _alias_for(position: int) -> str:
     if position < len(letters):
         return letters[position]
     return letters[position % len(letters)] + str(position // len(letters))
-
-
-def sql_expr_references(expression: SqlExpr) -> set[str]:
-    """Aliases referenced by a SQL expression."""
-    return {column.binding for column in sql_expr_columns(expression)}
-
-
-def sql_expr_columns(expression: SqlExpr) -> set[SqlColumn]:
-    """Every column reference occurring in a SQL expression."""
-    columns: set[SqlColumn] = set()
-
-    def walk(node: SqlExpr) -> None:
-        if isinstance(node, SqlColumn):
-            columns.add(node)
-        elif isinstance(node, SqlBinary):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, SqlNot):
-            walk(node.operand)
-
-    walk(expression)
-    return columns
-
-
-def clone_tree(tree: QueryTree) -> QueryTree:
-    """Shallow-copy a query tree so a rewrite rule can return a modified
-    tree without mutating its input (expressions are immutable, so sharing
-    them between the copies is safe)."""
-    return QueryTree(
-        bindings=list(tree.bindings),
-        where=tree.where,
-        join_conditions=list(tree.join_conditions),
-        output=tree.output,
-        order_by=list(tree.order_by),
-        limit=tree.limit,
-        offset=tree.offset,
-        parameter_sources=list(tree.parameter_sources),
-    )

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.optimizer import OptimizerOptions
 from repro.core.pipeline import QueryllPipeline, RewrittenQuery
 from repro.core.rewriter import DEFAULT_REGISTRY, QueryRegistry, splice_rewritten_queries
 from repro.jvm.classfile import ClassFile, MethodInfo
@@ -58,21 +57,15 @@ class RewriteResult:
 
 
 class BytecodeRewriter:
-    """Rewrites ``@Query`` methods of classfiles to use SQL.
-
-    ``optimizer_options`` is threaded into the analysis pipeline:
-    ``OptimizerOptions(optimize=False)`` reproduces the unoptimized SQL of
-    the bare paper pipeline (the benchmarks' ablation configuration).
-    """
+    """Rewrites ``@Query`` methods of classfiles to use SQL."""
 
     def __init__(
         self,
         mapping: OrmMapping,
         registry: Optional[QueryRegistry] = None,
         verify: bool = True,
-        optimizer_options: Optional[OptimizerOptions] = None,
     ) -> None:
-        self._pipeline = QueryllPipeline(mapping, optimizer_options=optimizer_options)
+        self._pipeline = QueryllPipeline(mapping)
         self._registry = registry if registry is not None else DEFAULT_REGISTRY
         self._verify = verify
 

@@ -26,7 +26,6 @@ from types import FunctionType
 from typing import Any, Callable, Optional
 
 from repro.core.expr import nodes
-from repro.core.optimizer import OptimizerOptions
 from repro.core.pipeline import QueryllPipeline, RewrittenQuery
 from repro.core.runtime import execute_generated_query, lazy_generated_query
 from repro.core.tac.instructions import Assign, Goto, Instruction, Nop, Return
@@ -51,19 +50,15 @@ class _CachedAnalysis:
 class QueryFunction:
     """Callable wrapper installed by :func:`query`."""
 
-    def __init__(
-        self,
-        function: FunctionType,
-        fallback: bool = True,
-        optimizer_options: Optional[OptimizerOptions] = None,
-    ) -> None:
+    def __init__(self, function: FunctionType, fallback: bool = True) -> None:
         self._function = function
         self._fallback = fallback
-        self._optimizer_options = optimizer_options or OptimizerOptions()
         self._signature = inspect.signature(function)
         self._tac: Optional[TacMethod] = None
         self._tac_error: Optional[str] = None
-        self._analyses: dict[int, _CachedAnalysis] = {}
+        # Keyed on the mapping itself (it hashes by identity): holding it
+        # keeps its id from being reused by a later mapping.
+        self._analyses: dict[OrmMapping, _CachedAnalysis] = {}
         #: Statistics observable by tests and benchmarks.
         self.rewritten_calls = 0
         self.fallback_calls = 0
@@ -92,11 +87,9 @@ class QueryFunction:
 
     def analysis(self, mapping: OrmMapping) -> _CachedAnalysis:
         """Analyse (and cache) the function against an ORM mapping."""
-        key = id(mapping)
-        if key in self._analyses:
-            return self._analyses[key]
-        cached = self._analyse(mapping)
-        self._analyses[key] = cached
+        cached = self._analyses.get(mapping)
+        if cached is None:
+            cached = self._analyses[mapping] = self._analyse(mapping)
         return cached
 
     def generated_sql(self, mapping_or_em: OrmMapping | EntityManager) -> Optional[str]:
@@ -174,8 +167,7 @@ class QueryFunction:
             method = self.tac()
         except UnsupportedQueryError as error:
             return _CachedAnalysis(rewritten=None, reason=str(error))
-        pipeline = QueryllPipeline(mapping, optimizer_options=self._optimizer_options)
-        report = pipeline.analyze_method(method)
+        report = QueryllPipeline(mapping).analyze_method(method)
         if not report.queries:
             reason = report.skipped[0][1] if report.skipped else "no query loop found"
             return _CachedAnalysis(rewritten=None, reason=reason)
@@ -293,30 +285,18 @@ def query(
     function: Optional[Callable] = None,
     *,
     fallback: bool = True,
-    optimize: bool = True,
-    optimizer_options: Optional[OptimizerOptions] = None,
 ) -> QueryFunction | Callable[[Callable], QueryFunction]:
     """Mark a function as a Queryll query (the paper's ``@Query`` annotation).
 
     ``fallback=False`` turns failed rewrites into errors instead of silently
     executing the original loop — useful in tests that must assert a query is
     actually translated to SQL.
-
-    ``optimize=False`` disables the logical query-tree optimizer for this
-    function (the ablation the benchmarks measure: the same SELECT lists
-    with un-normalized predicates, as the bare paper pipeline emits).
-    ``optimizer_options`` passes a full
-    :class:`~repro.core.optimizer.OptimizerOptions` instead, for rule
-    subsets or trace mode.
     """
 
     def wrap(func: Callable) -> QueryFunction:
         if not isinstance(func, FunctionType):
             raise TypeError("@query can only decorate plain functions")
-        options = optimizer_options
-        if options is None:
-            options = OptimizerOptions(optimize=optimize)
-        return QueryFunction(func, fallback=fallback, optimizer_options=options)
+        return QueryFunction(func, fallback=fallback)
 
     if function is not None:
         return wrap(function)

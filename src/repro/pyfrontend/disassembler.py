@@ -251,10 +251,8 @@ class PythonBytecodeLowering:
     def _op_compare_op(self, instruction: dis.Instruction) -> None:
         op = str(instruction.argval)
         # Python 3.13 renders comparisons as e.g. "bool(<)"; normalise.
-        for candidate in _COMPARISON_NAMES:
-            if candidate in op:
-                op = candidate
-                break
+        if op.startswith("bool(") and op.endswith(")"):
+            op = op[len("bool(") : -1]
         if op not in _COMPARISON_NAMES:
             raise UnsupportedQueryError(f"unsupported comparison {op!r}")
         right = self._pop_expression()

@@ -1,6 +1,6 @@
 """Statement classification: which shards must a statement touch?
 
-The router reuses the optimizer's building blocks — WHERE clauses are
+The router reuses the engine's expression helpers — WHERE clauses are
 split into top-level AND conjuncts (:func:`split_conjuncts`) and scanned
 for ``partition_column = <literal or parameter>`` equality conjuncts, the
 same pattern the planner uses to pick index lookups.  From the bound (or

@@ -166,9 +166,11 @@ class ExpressionCompiler:
                 if left_value is not None and not is_truthy(left_value):
                     return False
                 right_value = right(env, params)
-                if left_value is None or right_value is None:
+                if right_value is None:
                     return None
-                return is_truthy(right_value)
+                if not is_truthy(right_value):
+                    return False  # NULL AND FALSE is FALSE, not NULL
+                return None if left_value is None else True
             return eval_and
         if op == "OR":
             def eval_or(env: RowEnv, params: Params) -> object:

@@ -88,4 +88,4 @@ def test_intra_repo_links_resolve(document: Path) -> None:
 def test_docs_tree_is_complete() -> None:
     """The documents the README links into must exist."""
     names = {path.name for path in DOCUMENTS}
-    assert {"README.md", "architecture.md", "sql-engine.md", "optimizer.md"} <= names
+    assert {"README.md", "architecture.md", "sql-engine.md"} <= names

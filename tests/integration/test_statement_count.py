@@ -8,15 +8,13 @@ import re
 
 import pytest
 
-from repro.core.optimizer import OptimizerOptions
-from repro.core.pipeline import QueryllPipeline
 from repro.core.sqlgen.generator import (
     EntityOutputPlan,
     PairOutputPlan,
     TupleOutputPlan,
 )
-from repro.pyfrontend.decorator import query
-from repro.pyfrontend.disassembler import lower_function
+from repro.orm.entity import Entity
+from repro.orm.pair import Pair
 from repro.tpcw import queries_queryll, queries_sql
 from repro.tpcw.population import customer_uname
 
@@ -85,45 +83,44 @@ def test_escaping_entities_select_every_mapped_column(tpcw_db, name) -> None:
             assert f"{entity.binding}.{column.upper()}" in selected
 
 
+def _entity_rows(value: object) -> object:
+    """Entities as (entity, every mapped column value); Pairs/tuples recurse."""
+    if isinstance(value, Entity):
+        mapping = type(value)._mapping
+        return (
+            mapping.entity_name,
+            tuple(value._column_value(field.column) for field in mapping.fields),
+        )
+    if isinstance(value, Pair):
+        return ("pair", _entity_rows(value.getFirst()), _entity_rows(value.getSecond()))
+    if isinstance(value, tuple):
+        return tuple(_entity_rows(item) for item in value)
+    return value
+
+
 @pytest.mark.parametrize("name", list(WRAPPERS))
-def test_ablation_selects_the_same_entity_columns(tpcw_db, name) -> None:
-    mapping = tpcw_db.orm.mapping
+def test_rewritten_entities_carry_the_unrewritten_columns(tpcw_db, name) -> None:
     function = queries_queryll.QUERY_FUNCTIONS[name]
-    optimized = function.analysis(mapping).rewritten.generated
-    pipeline = QueryllPipeline(mapping, optimizer_options=OptimizerOptions(optimize=False))
-    report = pipeline.analyze_method(lower_function(function.original))
-    unoptimized = report.queries[0].generated
-
-    def entity_columns(generated) -> list[tuple[str, list[str]]]:
-        return [
-            (entity.entity_name, [key for _, key in entity.columns])
-            for entity in _entity_plans(generated.output_plan)
-        ]
-
-    assert entity_columns(unoptimized) == entity_columns(optimized)
+    argument = WRAPPERS[name][2]
+    rewritten = function(tpcw_db.entity_manager(), argument).to_list()
+    unrewritten = function.original(tpcw_db.entity_manager(), argument).to_list()
+    assert rewritten
+    assert sorted(map(repr, map(_entity_rows, rewritten))) == sorted(
+        map(repr, map(_entity_rows, unrewritten))
+    )
 
 
-def test_wrappers_agree_with_unoptimized_pipeline(tpcw_db) -> None:
-    @query(optimize=False)
-    def get_customer_unoptimized(em, username):
-        from repro.orm.pair import Pair
-        from repro.orm.queryset import QuerySet
-        result = QuerySet()
-        for c in em.all('Customer'):
-            if c.uname == username:
-                result.add(Pair(c, Pair(c.address, c.address.country)))
-        return result
-
+def test_wrappers_agree_with_unrewritten_loop(tpcw_db) -> None:
     username = customer_uname(3)
-    optimized = queries_queryll.get_customer(tpcw_db.entity_manager(), username)
-    unoptimized_pairs = get_customer_unoptimized(
+    rewritten = queries_queryll.get_customer(tpcw_db.entity_manager(), username)
+    unrewritten_pairs = queries_queryll.get_customer_loop.original(
         tpcw_db.entity_manager(), username
     ).to_list()
-    assert len(unoptimized_pairs) == 1
-    pair = unoptimized_pairs[0]
-    assert optimized["c_uname"] == pair.getFirst().uname
-    assert optimized["c_fname"] == pair.getFirst().firstName
-    assert optimized["co_name"] == pair.getSecond().getSecond().name
+    assert len(unrewritten_pairs) == 1
+    pair = unrewritten_pairs[0]
+    assert rewritten["c_uname"] == pair.getFirst().uname
+    assert rewritten["c_fname"] == pair.getFirst().firstName
+    assert rewritten["co_name"] == pair.getSecond().getSecond().name
 
 
 class TestIdentityMap:

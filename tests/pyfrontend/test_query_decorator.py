@@ -3,12 +3,26 @@ covering the paper's Figs. 5-7 written as plain Python."""
 
 from __future__ import annotations
 
+import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.tac.instructions import Assign, IfGoto, Return
 from repro.errors import UnsupportedQueryError
-from repro.orm import Pair, QueryllDatabase, QuerySet
+from repro.orm import (
+    EntityMapping,
+    FieldMapping,
+    OrmMapping,
+    Pair,
+    QueryllDatabase,
+    QuerySet,
+)
 from repro.pyfrontend import lower_function, query
+from repro.sqlengine.catalog import SqlType
 
 
 # -- lowering -------------------------------------------------------------------------------
@@ -51,6 +65,32 @@ class TestLowering:
 
         with pytest.raises(UnsupportedQueryError):
             lower_function(uses_subscript)
+
+    @pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
+    def test_inclusive_comparisons_survive_any_hash_seed(self, seed: str) -> None:
+        """``<=`` / ``>=`` must not lower to ``<`` / ``>`` under any string
+        hash seed (it used to depend on set iteration order)."""
+        script = (
+            "from repro.orm import QuerySet\n"
+            "from repro.pyfrontend import lower_function\n"
+            "def between(em, lo, hi):\n"
+            "    result = QuerySet()\n"
+            "    for a in em.all('Account'):\n"
+            "        if a.balance >= lo and a.balance <= hi:\n"
+            "            result.add(a)\n"
+            "    return result\n"
+            "print(repr(lower_function(between).instructions))\n"
+        )
+        source_root = Path(__file__).resolve().parents[2] / "src"
+        lowered = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(source_root)},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert "op='>='" in lowered and "op='<='" in lowered
+        assert "op='>'" not in lowered and "op='<'" not in lowered
 
     def test_keyword_arguments_unsupported(self) -> None:
         def with_kwargs(em):
@@ -238,3 +278,33 @@ class TestQueryDecorator:
         result = identity(FakeManager(), "Canada")
         assert result.to_list() == []
         assert identity.fallback_calls == 1
+
+    def test_analysis_cache_never_serves_a_collected_mappings_sql(self) -> None:
+        """A mapping that was garbage-collected must not leave its SQL behind
+        for a new mapping that happens to reuse its address."""
+        @query
+        def names(em):
+            result = QuerySet()
+            for c in em.all("Client"):
+                result.add(c.name)
+            return result
+
+        for version in range(50):
+            mapping = OrmMapping(
+                [
+                    EntityMapping(
+                        "Client",
+                        f"clients_v{version}",
+                        fields=[
+                            FieldMapping(
+                                "clientId", "ClientID", SqlType.INTEGER, primary_key=True
+                            ),
+                            FieldMapping("name", f"Name_v{version}", SqlType.TEXT),
+                        ],
+                    )
+                ]
+            )
+            sql = names.generated_sql(mapping)
+            assert f"FROM clients_v{version} AS A" in sql, (version, sql)
+            del mapping
+            gc.collect()

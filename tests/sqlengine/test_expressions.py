@@ -64,6 +64,26 @@ class TestBasicEvaluation:
         null_and_true = ast.BinaryOp("AND", ast.Literal(None), ast.Literal(True))
         assert evaluate(null_and_true) is None
 
+    @pytest.mark.parametrize("left", [True, False, None])
+    @pytest.mark.parametrize("right", [True, False, None])
+    def test_and_or_truth_tables_are_three_valued(self, left, right) -> None:
+        """Both operand orders: FALSE dominates AND, TRUE dominates OR."""
+        if left is False or right is False:
+            expected_and = False
+        elif left is None or right is None:
+            expected_and = None
+        else:
+            expected_and = True
+        if left is True or right is True:
+            expected_or = True
+        elif left is None or right is None:
+            expected_or = None
+        else:
+            expected_or = False
+        operands = (ast.Literal(left), ast.Literal(right))
+        assert evaluate(ast.BinaryOp("AND", *operands)) is expected_and
+        assert evaluate(ast.BinaryOp("OR", *operands)) is expected_or
+
     def test_not(self) -> None:
         assert evaluate(ast.UnaryOp("NOT", ast.Literal(False))) is True
         assert evaluate(ast.UnaryOp("NOT", ast.Literal(None))) is None
