@@ -59,7 +59,5 @@ class ExpressionRenderer:
         if isinstance(expression, SqlBinary):
             left = self.render(expression.left)
             right = self.render(expression.right)
-            if expression.op in ("AND", "OR"):
-                return f"({left} {expression.op} {right})"
             return f"({left} {expression.op} {right})"
         raise TypeError(f"unknown SQL expression {expression!r}")

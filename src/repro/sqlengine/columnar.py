@@ -386,6 +386,72 @@ class BatchHashJoin(BatchOperator):
         return f"BatchHashJoin(keys={len(self._probe_slots)})"
 
 
+class BatchSemiJoin(BatchOperator):
+    """Semi-join over batches: keep the probe rows whose join key is in the
+    key side's set of keys.
+
+    The planner lowers an equi-join step to this when one side holds
+    distinct rows of one binding, joins on exactly the columns of a unique
+    index of it, and has no column read above the step: each probe row then
+    matches at most one key row and nothing needs the key row's values, so
+    the join is a membership test.  Probe batches keep their own column
+    arrays; only the selection vector narrows.  NULL keys match nothing, and
+    keys compare with Python hash equality, as in :class:`BatchHashJoin`.
+    """
+
+    def __init__(
+        self,
+        probe: BatchOperator,
+        keys: BatchOperator,
+        probe_slots: Sequence[int],
+        key_slots: Sequence[int],
+    ) -> None:
+        self._probe = probe
+        self._keys = keys
+        self._probe_slots = list(probe_slots)
+        self._key_slots = list(key_slots)
+
+    def batches(self, params: Params) -> Iterator[Batch]:
+        keys: set = set()
+        for batch in self._keys.batches(params):
+            keys.update(_batch_keys(batch, self._key_slots))
+        if len(self._key_slots) == 1:
+            keys.discard(None)
+        else:
+            keys = {key for key in keys if None not in key}
+        if not keys:
+            return
+        probe_slots = self._probe_slots
+        for batch in self._probe.batches(params):
+            if len(probe_slots) == 1:
+                col = batch.cols[probe_slots[0]]
+                sel = [i for i in batch.sel if col[i] in keys]
+            else:
+                sel = [
+                    i
+                    for i, key in zip(batch.sel, _batch_keys(batch, probe_slots))
+                    if key in keys
+                ]
+            if sel:
+                yield Batch(batch.cols, sel, len(sel))
+
+    def children(self) -> Sequence[PlanOperator]:
+        return (self._probe, self._keys)
+
+    def describe(self) -> str:
+        return f"BatchSemiJoin(keys={len(self._probe_slots)})"
+
+
+def _batch_keys(batch: Batch, slots: Sequence[int]) -> list:
+    """The join key of every selected row: values for one slot, tuples
+    for several."""
+    sel = batch.sel
+    if len(slots) == 1:
+        col = batch.cols[slots[0]]
+        return [col[i] for i in sel]
+    return list(zip(*([batch.cols[slot][i] for i in sel] for slot in slots)))
+
+
 class BatchSort(BatchOperator):
     """Sort: consolidate every batch, order a permutation vector, emit one
     batch whose selection vector *is* the sort order.
@@ -495,7 +561,8 @@ class BatchAggregate(PlanOperator):
 
     Each spec is ``(name, function, slot, evaluator)``: ``slot`` set means
     the argument is a plain column (vectorised: one gather comprehension
-    per batch, then C-level ``sum``/``min``/``max``); ``evaluator`` set
+    per column per batch, shared by every spec on that column, then
+    C-level ``sum``/``min``/``max``); ``evaluator`` set
     means an expression argument (evaluated through :class:`_RowView`);
     both ``None`` means ``COUNT(*)``.  NULL handling and empty-input
     results match the row engine's :class:`Aggregate` exactly.
@@ -522,13 +589,19 @@ class BatchAggregate(PlanOperator):
         for batch in self._child.batches(params):
             sel = batch.sel
             cols = batch.cols
+            # Specs over the same column share one non-NULL value list.
+            by_slot: dict[int, list] = {}
             for position, (_, function, slot, evaluator) in enumerate(specs):
                 if slot is None and evaluator is None:  # COUNT(*)
                     counts[position] += batch.n
                     continue
                 if slot is not None:
-                    col = cols[slot]
-                    values = [col[i] for i in sel if col[i] is not None]
+                    values = by_slot.get(slot)
+                    if values is None:
+                        col = cols[slot]
+                        values = by_slot[slot] = [
+                            col[i] for i in sel if col[i] is not None
+                        ]
                 else:
                     assert evaluator is not None
                     view = _RowView(cols)

@@ -9,7 +9,9 @@ paper's workload:
   reads and operators pass positional rows — no per-row dictionaries,
 * predicate pushdown of single-table conjuncts onto their scans,
 * index selection for equality predicates on indexed columns,
-* equi-join detection with a choice of index nested-loop join or hash join,
+* equi-join detection with a choice of index nested-loop join or hash join
+  (and, in batch plans, a semi-join when one side is a unique-keyed binding
+  that nothing above the join reads),
 * **cost-based join ordering** driven by table statistics (live row counts
   and incremental per-index distinct-key counts from
   :meth:`repro.sqlengine.storage.TableData.statistics`): the planner
@@ -47,6 +49,7 @@ from repro.sqlengine.columnar import (
     BatchOperator,
     BatchOutput,
     BatchScan,
+    BatchSemiJoin,
     BatchSort,
     ColumnarMetrics,
     compile_columnwise,
@@ -1092,29 +1095,54 @@ class Planner:
         self, query: _Query, start: _Binding, steps: list[_JoinStep]
     ) -> PlanOperator:
         """Batch operators for the chosen join order: column scans with
-        projection/selection pushdown and batch hash joins, then the
-        residual filters and the batch aggregate or sort + output."""
+        projection/selection pushdown and batch semi- or hash joins, then
+        the residual filters and the batch aggregate or sort + output.
+
+        A step becomes a :class:`BatchSemiJoin` when one side is a key side
+        (see :meth:`_is_key_side`): the new binding, or the current tree
+        while it still holds the distinct rows of one binding.  A semi-join
+        outputs the distinct rows of its probe binding, so semi-joins chain;
+        every other step is a :class:`BatchHashJoin`."""
         resolve_slot, compiler = query.resolve_slot, query.compiler
         required = self._required_slots(query)
+        read_above = self._read_above_steps(query, steps)
         current: PlanOperator = self._batch_scan(start, query, required)
         current_slots = set(required[start.name])
-        for step in steps:
+        #: The binding whose distinct rows the current tree holds; None once
+        #: a hash join has combined bindings.
+        distinct: Optional[_Binding] = start
+        for step, above in zip(steps, read_above):
             candidate = step.candidate
             assert candidate is not None
-            build_slots = required[step.binding.name]
-            current = self._annotated(
-                BatchHashJoin(
+            binding = step.binding
+            scan = self._batch_scan(binding, query, required)
+            probe_slots = [resolve_slot(ref) for ref in candidate.probe_refs]
+            build_slots = [resolve_slot(ref) for ref in candidate.build_refs]
+            operator: BatchOperator
+            if self._is_key_side(binding, build_slots, above):
+                operator = BatchSemiJoin(
+                    current, scan, probe_slots, build_slots  # type: ignore[arg-type]
+                )
+            elif distinct is not None and self._is_key_side(
+                distinct, probe_slots, above
+            ):
+                operator = BatchSemiJoin(
+                    scan, current, build_slots, probe_slots  # type: ignore[arg-type]
+                )
+                current_slots = set(required[binding.name])
+                distinct = binding
+            else:
+                operator = BatchHashJoin(
                     current,  # type: ignore[arg-type]
-                    self._batch_scan(step.binding, query, required),
-                    [resolve_slot(ref) for ref in candidate.probe_refs],
-                    [resolve_slot(ref) for ref in candidate.build_refs],
+                    scan,
+                    probe_slots,
+                    build_slots,
                     sorted(current_slots),
-                    sorted(build_slots),
-                ),
-                step.rows,
-                step.cost,
-            )
-            current_slots |= build_slots
+                    sorted(required[binding.name]),
+                )
+                current_slots |= required[binding.name]
+                distinct = None
+            current = self._annotated(operator, step.rows, step.cost)
         current = self._residual_filters(current, query, BatchFilter)
 
         statement = query.statement
@@ -1154,36 +1182,82 @@ class Planner:
 
     def _required_slots(self, query: _Query) -> dict[str, set[int]]:
         """Per-binding slot sets the batch plan reads (projection pushdown):
-        the columns the outputs, sort keys and predicates reference.  An
+        the columns read above the joins plus those the pushed and join
+        predicates reference."""
+        read = self._read_above_joins(query) | self._slots_read(
+            query,
+            query.join_conjuncts
+            + [c for binding in query.bindings.values() for c in binding.conjuncts],
+        )
+        required: dict[str, set[int]] = {}
+        for name, binding in query.bindings.items():
+            low, high = binding.slot_range
+            required[name] = {slot for slot in read if low <= slot < high}
+        return required
+
+    def _read_above_joins(self, query: _Query) -> set[int]:
+        """The slots read above the join tree: the select list (aggregate
+        arguments included), ORDER BY and the residual conjuncts.  An
         ungrouped aggregate ignores ORDER BY, as in the row lowering."""
-        bindings = query.bindings
-        required: dict[str, set[int]] = {name: set() for name in bindings}
-
-        def add_refs(expression: ast.Expression) -> None:
-            for ref in collect_column_refs(expression):
-                key, name = self._resolve_column(ref, bindings)
-                required[name].add(query.slot_map[key])
-
         statement = query.statement
+        read: set[int] = set()
+        expressions = list(query.residual)
         for item in statement.items:
             if item.star:
-                for binding in bindings.values():
-                    required[binding.name].update(range(*binding.slot_range))
+                read.update(range(query.width))
             elif item.table_star is not None:
-                binding = bindings[item.table_star.lower()]
-                required[binding.name].update(range(*binding.slot_range))
+                binding = query.bindings[item.table_star.lower()]
+                read.update(range(*binding.slot_range))
             else:
                 assert item.expression is not None
-                add_refs(item.expression)
+                expressions.append(item.expression)
         if query.aggregates is None:
-            for order_item in statement.order_by or ():
-                add_refs(order_item.expression)
-        for binding in bindings.values():
-            for conjunct in binding.conjuncts:
-                add_refs(conjunct)
-        for conjunct in query.join_conjuncts + query.residual:
-            add_refs(conjunct)
-        return required
+            expressions.extend(item.expression for item in statement.order_by or ())
+        return read | self._slots_read(query, expressions)
+
+    def _read_above_steps(
+        self, query: _Query, steps: list[_JoinStep]
+    ) -> list[set[int]]:
+        """Per join step, the slots read above it: those read above the
+        join tree plus the join conjuncts of every later step."""
+        read = self._read_above_joins(query)
+        above: list[set[int]] = []
+        for step in reversed(steps):
+            above.append(set(read))
+            if step.candidate is not None:
+                read |= self._slots_read(query, step.candidate.conjuncts)
+        above.reverse()
+        return above
+
+    @staticmethod
+    def _slots_read(query: _Query, expressions: list[ast.Expression]) -> set[int]:
+        return {
+            query.resolve_slot(ref)
+            for expression in expressions
+            for ref in collect_column_refs(expression)
+        }
+
+    @staticmethod
+    def _is_key_side(
+        binding: _Binding, key_slots: list[int], read_above: set[int]
+    ) -> bool:
+        """Whether a join side holding distinct rows of ``binding`` can be
+        a semi-join's key set on ``key_slots``: they are columns of
+        ``binding``, exactly the columns of one of its unique indexes, and
+        no slot of ``binding`` is read above the join.  Each row of the
+        other side then matches at most one row of this one, whose values
+        nothing needs."""
+        low, high = binding.slot_range
+        if not all(low <= slot < high for slot in key_slots) or any(
+            low <= slot < high for slot in read_above
+        ):
+            return False
+        names = binding.schema.column_names
+        columns = {names[slot - low].lower() for slot in key_slots}
+        return any(
+            index.unique and {column.lower() for column in index.columns} == columns
+            for index in binding.data.indexes().values()
+        )
 
     def _batch_scan(
         self, binding: _Binding, query: _Query, required: dict[str, set[int]]

@@ -88,3 +88,23 @@ class TestExplainAnalyze:
         assert not any("actual rows" in line for line in lines)
         result = database.execute("SELECT v FROM t WHERE v < 10")
         assert result.rowcount == 10
+
+    def test_semi_join_reports_the_probe_rows_it_kept(self) -> None:
+        """A star join whose dim is a key set: the BatchSemiJoin's actual
+        rows are the fact rows that found a key, below the fact scan's."""
+        database = _build("batch")
+        database.execute("CREATE TABLE d (k INT PRIMARY KEY, tag INT)")
+        database.insert_rows("d", [(k, k % 2) for k in range(20)])
+        lines = _plan_lines(
+            database,
+            "EXPLAIN ANALYZE SELECT COUNT(*) FROM t, d "
+            "WHERE t.v = d.k AND d.tag = 0",
+        )
+        semi_join = next(line for line in lines if "BatchSemiJoin" in line)
+        assert "actual rows=10 " in semi_join
+        fact_scan = next(line for line in lines if "BatchScan(t AS t" in line)
+        assert "actual rows=50 " in fact_scan
+        key_scan = next(line for line in lines if "BatchScan(d AS d" in line)
+        assert "actual rows=10 " in key_scan
+        footer = _FOOTER.search(lines[-1])
+        assert footer is not None and int(footer.group(1)) == 1

@@ -54,20 +54,24 @@ mode=row
 Project(id, region)  (rows=1.0, cost=3.0)
   IndexNestedLoopJoin(dim_a AS dim_a USING pk_dim_a)  (rows=1.0, cost=3.0)
     IndexLookup(fact AS fact USING pk_fact)  (rows=1.0, cost=1.0)""",
+    # Every dim joins on its primary key and no dim column is read above
+    # its join, so both star joins are semi-joins: the dims become key
+    # sets and fact streams (join3 is fact ⋉ (dim_b ⋉ dim_a)).  The join
+    # order and every estimate are the row plan's.
     ("batch", "join2"): """\
 mode=batch (batch_size=1024)
 BatchAggregate(COUNT, SUM)  (rows=1.0, cost=1238.0)
-  BatchHashJoin(keys=1)  (rows=18.0, cost=1238.0)
-    BatchScan(dim_a AS dim_a, cols=2/3, pushdown=1)  (rows=18.0, cost=20.0)
-    BatchScan(fact AS fact, cols=2/6)  (rows=600.0, cost=600.0)""",
+  BatchSemiJoin(keys=1)  (rows=18.0, cost=1238.0)
+    BatchScan(fact AS fact, cols=2/6)  (rows=600.0, cost=600.0)
+    BatchScan(dim_a AS dim_a, cols=2/3, pushdown=1)  (rows=18.0, cost=20.0)""",
     ("batch", "join3"): """\
 mode=batch (batch_size=1024)
 BatchAggregate(COUNT, SUM)  (rows=1.0, cost=1357.3)
-  BatchHashJoin(keys=1)  (rows=2.0, cost=1357.3)
-    BatchHashJoin(keys=1)  (rows=2.0, cost=155.3)
-      BatchScan(dim_a AS dim_a, cols=2/3, pushdown=1)  (rows=2.0, cost=20.0)
+  BatchSemiJoin(keys=1)  (rows=2.0, cost=1357.3)
+    BatchScan(fact AS fact, cols=2/6)  (rows=600.0, cost=600.0)
+    BatchSemiJoin(keys=1)  (rows=2.0, cost=155.3)
       BatchScan(dim_b AS dim_b, cols=3/3, pushdown=1)  (rows=33.3, cost=100.0)
-    BatchScan(fact AS fact, cols=2/6)  (rows=600.0, cost=600.0)""",
+      BatchScan(dim_a AS dim_a, cols=2/3, pushdown=1)  (rows=2.0, cost=20.0)""",
     # Forced batch mode has no index nested-loop join; the scan keeps the
     # index lookup's cost so join ordering matches row mode.
     ("batch", "point_join"): """\
